@@ -1,181 +1,148 @@
-"""Hot search kernels for the brute-force oracle.
+"""The oracle's search kernel, in plain Python over lists and int bitmasks.
 
-The kernels are written as plain Python loops over numpy int64 arrays so
-that exactly the same source runs in two modes:
+One depth-first search serves counting and witness listing, over cyclic
+or all permutations. It fills the one-line positions left to right and
+tries the unused values in ascending order, so witnesses come out in
+lexicographic order. Value v is bit v of every mask.
 
-* JIT-compiled with numba's @njit (the default): this is what makes
-  full Table-style sweeps and extended-range oracle runs take seconds.
-* Interpreted fallback, selected by setting ``CYCPERM_NO_NUMBA=1`` in the
-  environment (also used automatically when numba is not importable).
+Two sound rules prune the search:
 
-``benchmarks/bench_oracle.py`` compares the two modes on the same
-workload. The mode is fixed at import time; the selected flavour is
-reported in ``JIT_ENABLED``.
+* Cycle closing. The assignments made so far split 1..n into paths
+  i -> p(i) -> p(p(i)) -> ... Assigning p(i) = v closes a cycle exactly
+  when v is the start of the path that ends at i. A cyclic search allows
+  that only at the last position, so every leaf is an n-cycle.
+* Forbidden values. An occurrence of a pattern's first k-1 entries in the
+  prefix forbids one open interval of values at every later position:
+  placing such a value there completes the pattern. Every unused value
+  has to be placed later, so a placement whose new occurrences forbid an
+  unused value leads nowhere and is rejected at once. By induction no
+  prefix the search enters forbids any unused value, so the new
+  occurrences (those ending at the placed value) are the only ones to
+  test, and a value that is still unused is never forbidden itself.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("CYCPERM_NO_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
 
 
-JIT_ENABLED = not _numba_disabled_by_env()
-if JIT_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        JIT_ENABLED = False
+def compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
+    """Per pattern, the plan (gaps, lo, hi, k) the search matches it with.
 
-if JIT_ENABLED:
-    def _jit(fn):
-        return _njit(cache=True, nogil=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
-
-@_jit
-def _match_ending(word, m, v, pat, k):
-    """True iff some subsequence of word[:m] + [v] ending at v matches pat.
-
-    Depth-first choice of positions for pattern slots 0..k-2; slot k-1 is
-    pinned to the appended value v. Order relations are checked against
-    every placed slot, so all pattern pairs are covered.
+    Returns None when a pattern has length 1, which nothing avoids. For a
+    pattern q of length k >= 2, an occurrence of q[:k-1] that ends at a
+    newly placed value fills slot k-2 with that value and then slots
+    0..k-3 left to right; the value of slot t must lie in the open
+    interval between the values of ``gaps[t]``, the two filled slots whose
+    pattern entries are just below and just above q[t]. Indices k-1 and k
+    stand for the bounds 0 and n + 1. ``lo`` and ``hi`` name that pair for
+    q[k-1] among all k-1 slots: the interval the occurrence forbids.
     """
-    if k == 1:
-        return True
-    if m < k - 1:
-        return False
-    pos = np.empty(k - 1, np.int64)
-    t = 0
-    cand = 0
-    while True:
-        hi = m - k + 1 + t  # leave room for the remaining slots
-        c = cand
-        found = False
-        while c <= hi:
-            w = word[c]
-            good = (pat[t] < pat[k - 1]) == (w < v)
-            if good:
-                for s in range(t):
-                    if (pat[s] < pat[t]) != (word[pos[s]] < w):
-                        good = False
-                        break
-            if good:
-                found = True
-                break
-            c += 1
-        if found:
-            pos[t] = c
-            if t == k - 2:
-                return True
-            t += 1
-            cand = c + 1
-        else:
-            t -= 1
-            if t < 0:
-                return False
-            cand = pos[t] + 1
+    plans = []
+    for q in patterns:
+        k = len(q)
+        if k == 1:
+            return None
+        filled = [k - 2]
+        gaps = []
+        for t in [*range(k - 2), k - 1]:
+            below = [s for s in filled if q[s] < q[t]]
+            above = [s for s in filled if q[s] > q[t]]
+            lo = max(below, key=lambda s: q[s]) if below else k - 1
+            hi = min(above, key=lambda s: q[s]) if above else k
+            gaps.append((lo, hi))
+            filled.append(t)
+        *slot_gaps, (lo, hi) = gaps
+        plans.append((tuple(slot_gaps), lo, hi, k))
+    return tuple(plans)
 
 
-@_jit
-def _extension_ok(word, m, v, pats, plens):
-    """True iff appending v to word[:m] completes none of the patterns."""
-    for t in range(pats.shape[0]):
-        if _match_ending(word, m, v, pats[t], plens[t]):
-            return False
-    return True
+@lru_cache(maxsize=16)
+def _spans(n: int) -> tuple:
+    """spans[a][b]: the mask of the values strictly between a and b."""
+    return tuple(
+        tuple(((1 << b) - (1 << (a + 1))) if b > a + 1 else 0 for b in range(n + 2))
+        for a in range(n + 2)
+    )
 
 
-@_jit
-def _is_n_cycle(word, n):
-    """True iff the permutation word (1-based values) is a single n-cycle.
+def _count_from_root(n: int, root: int, plans, cyclic_only: bool, sink=None) -> tuple[int, int]:
+    """Search the subtree whose first entry is root.
 
-    Scans for a fixed point or 2-cycle first (cheap and usually decisive
-    for rejects), then traces the cycle through 1.
+    ``plans`` comes from compile_patterns. Returns (count, nodes): the
+    avoiders found and the placements made. When sink is a list, each
+    avoider's one-line tuple is appended to it, in lexicographic order.
     """
-    if n == 1:
-        return True
-    for i in range(1, n + 1):
-        j = word[i - 1]
-        if j == i:
-            return False
-        if n > 2 and word[j - 1] == i:
-            return False
-    steps = 1
-    j = word[0]
-    while j != 1:
-        j = word[j - 1]
-        steps += 1
-    return steps == n
-
-
-@_jit
-def _count_from_root(n, root, pats, plens, cyclic_only):
-    """Count avoiders in the search subtree rooted at first entry = root.
-
-    Iterative backtracking over one-line positions left to right, placing
-    unused values and pruning any placement that completes a pattern.
-    Cyclicity is only tested at complete leaves; partial-cycle pruning is
-    not sound on one-line prefixes and is not attempted.
-
-    Returns (count, nodes) where nodes is the number of placements made.
-    """
-    word = np.empty(n, np.int64)
-    used = np.zeros(n + 1, np.bool_)
-    nxt = np.empty(n + 1, np.int64)
-    if not _extension_ok(word, 0, root, pats, plens):
+    if plans is None:
         return 0, 0
-    word[0] = root
-    used[root] = True
-    m = 1
-    nxt[1] = 1
-    count = 0
-    nodes = 1
-    while True:
-        if m == n:
-            if (not cyclic_only) or _is_n_cycle(word, n):
-                count += 1
-            m -= 1
-            used[word[m]] = False
-            if m == 0:
-                break
-            continue
-        v = nxt[m]
-        while v <= n and (used[v] or not _extension_ok(word, m, v, pats, plens)):
-            v += 1
-        if v <= n:
-            nxt[m] = v + 1
-            word[m] = v
-            used[v] = True
-            m += 1
-            nxt[m] = 1
-            nodes += 1
-        else:
-            m -= 1
-            used[word[m]] = False
-            if m == 0:
-                break
+    spans = _spans(n)
+    top = n + 1
+    last = n - 1
+    word = [0] * n
+    pos = [0] * top  # pos[v]: the position of placed value v
+    prefix = [0] * top  # prefix[j]: the mask of the values at positions < j
+    start = list(range(top))  # start[e]: the first vertex of the path ending at e
+    end = list(range(top))  # end[s]: the last vertex of the path starting at s
+    checks = [(gaps, lo, hi, [0] * (k - 1) + [0, top]) for gaps, lo, hi, k in plans]
+    count = nodes = 0
+
+    def blocked(gaps, lo, hi, vals, t, c0, used, rest):
+        # Fill slot t from the values at positions c0..m-1 that fit its gap.
+        # At the innermost slot the forbidden intervals are nested, so
+        # their union is bounded by the extreme fitting value.
+        if t == len(gaps):  # a pattern of length 2: only the new value
+            return spans[vals[lo]][vals[hi]] & rest
+        g_lo, g_hi = gaps[t]
+        fits = (used ^ prefix[c0]) & spans[vals[g_lo]][vals[g_hi]]
+        if not fits:
+            return 0
+        if t == len(gaps) - 1:
+            a = (fits & -fits).bit_length() - 1 if lo == t else vals[lo]
+            b = fits.bit_length() - 1 if hi == t else vals[hi]
+            return spans[a][b] & rest
+        while fits:
+            bit = fits & -fits
+            fits ^= bit
+            w = bit.bit_length() - 1
+            vals[t] = w
+            if blocked(gaps, lo, hi, vals, t + 1, pos[w] + 1, used, rest):
+                return 1
+        return 0
+
+    def descend(m, free, cands):
+        nonlocal count, nodes
+        i = m + 1  # the one-line position being assigned, 1-based
+        closing = start[i] if cyclic_only and m < last else 0
+        used = prefix[m]
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            v = bit.bit_length() - 1
+            if v == closing:
+                continue
+            rest = free ^ bit
+            for gaps, lo, hi, vals in checks:
+                vals[-3] = v
+                if blocked(gaps, lo, hi, vals, 0, 0, used, rest):
+                    break
+            else:
+                nodes += 1
+                word[m] = v
+                if not rest:
+                    count += 1
+                    if sink is not None:
+                        sink.append(tuple(word))
+                    continue
+                pos[v] = m
+                prefix[i] = used | bit
+                if cyclic_only:
+                    s, e = start[i], end[v]
+                    end[s], start[e] = e, s
+                    descend(i, rest, rest)
+                    end[s], start[e] = i, v
+                else:
+                    descend(i, rest, rest)
+
+    full = (1 << top) - 2
+    descend(0, full, 1 << root)
     return count, nodes
-
-
-def pack_patterns(pattern_entry_tuples) -> tuple[np.ndarray, np.ndarray]:
-    """Pack pattern entry tuples into the (pats, plens) kernel arrays."""
-    pats_list = list(pattern_entry_tuples)
-    kmax = max(len(p) for p in pats_list)
-    pats = np.zeros((len(pats_list), kmax), np.int64)
-    plens = np.zeros(len(pats_list), np.int64)
-    for i, p in enumerate(pats_list):
-        plens[i] = len(p)
-        pats[i, : len(p)] = p
-    return pats, plens
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on a tiny input (no-op in fallback mode)."""
-    pats, plens = pack_patterns([(1, 2, 3)])
-    _count_from_root(3, 1, pats, plens, True)

@@ -14,15 +14,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import harness
-from .enumeration import EnumerationRequest, run_enumeration
+from .enumeration import (
+    EnumerationRequest,
+    configured_cap,
+    configured_workers,
+    run_enumeration,
+)
 from .errors import (
     BadPattern,
+    BadSetting,
     CycpermError,
     DuplicateValue,
     EmptyInput,
@@ -48,6 +53,7 @@ EXTENDED_CAP = 13
 
 _USAGE_ERRORS = (
     BadPattern,
+    BadSetting,
     DuplicateValue,
     EmptyInput,
     LengthMismatch,
@@ -121,22 +127,6 @@ def _warn(cfg: RunConfig, message: str) -> None:
         print(f"cycperm: {message}", file=sys.stderr)
 
 
-def _effective_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("CYCPERM_ORACLE_CAP")
-    if env:
-        return int(env)
-    return EXTENDED_CAP if args.extended else CLI_DEFAULT_CAP
-
-
-def _effective_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("CYCPERM_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="cycperm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,8 +191,10 @@ def _config_from_args(args) -> RunConfig:
         offset=getattr(args, "offset", None),
         out=getattr(args, "out", None),
         output_format=args.format,
-        workers=_effective_workers(args),
-        oracle_cap=_effective_cap(args),
+        workers=configured_workers(args.workers),
+        oracle_cap=configured_cap(
+            args.cap, default=EXTENDED_CAP if args.extended else CLI_DEFAULT_CAP
+        ),
         cap_explicit=args.cap is not None,
         cache_path=getattr(args, "cache", None),
         extended=args.extended,
@@ -438,8 +430,8 @@ def _exit_code_for(reports) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         if cfg.command == "count":
             sys.stdout.write(_render_table(cmd_count(cfg), cfg.output_format))
             return 0

@@ -3,7 +3,7 @@
 Counts (and optionally lists) permutations of length n avoiding a pattern
 set, either over all permutations or restricted to single n-cycles. The
 search is pruned backtracking over one-line prefixes; see _kernels for
-the inner loops.
+the search itself.
 
 The oracle is deliberately independent of every closed-form formula in
 this package so the two can be checked against each other.
@@ -16,10 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import _kernels
-from .errors import LimitExceeded
+from .errors import BadSetting, EmptyInput, LimitExceeded, TooSmall
 from .patterns import Pattern, canonical_patterns
 from .perm import Permutation
 
@@ -31,18 +29,29 @@ _ENV_CAP = "CYCPERM_ORACLE_CAP"
 _ENV_WORKERS = "CYCPERM_WORKERS"
 
 
-def configured_cap(explicit: Optional[int] = None) -> int:
+def _env_int(name: str) -> Optional[int]:
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadSetting(f"{name} must be an integer, got {raw!r}") from None
+
+
+def configured_cap(explicit: Optional[int] = None, default: int = DEFAULT_CAP) -> int:
+    """The oracle cap: explicit value, then CYCPERM_ORACLE_CAP, then default."""
     if explicit is not None:
         return explicit
-    env = os.environ.get(_ENV_CAP)
-    return int(env) if env else DEFAULT_CAP
+    env = _env_int(_ENV_CAP)
+    return default if env is None else env
 
 
 def configured_workers(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(_ENV_WORKERS)
-    return max(1, int(env)) if env else 1
+    """The worker count: explicit value, then CYCPERM_WORKERS, then 1."""
+    if explicit is None:
+        explicit = _env_int(_ENV_WORKERS)
+    return 1 if explicit is None else max(1, explicit)
 
 
 @dataclass(frozen=True)
@@ -57,11 +66,11 @@ class EnumerationRequest:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise TooSmall(f"n must be at least 1, got {self.n}")
         if not self.patterns:
-            raise ValueError("the pattern set must be nonempty")
+            raise EmptyInput("the pattern set must be nonempty")
         if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+            raise TooSmall(f"parallelism must be at least 1, got {self.parallelism}")
         object.__setattr__(self, "patterns", canonical_patterns(self.patterns))
 
 
@@ -99,19 +108,31 @@ def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> Enume
     """Execute a request as stated; prefer the count_*/list_* wrappers."""
     _check_cap(req.n, cap)
     t0 = time.perf_counter()
-    pats, plens = _kernels.pack_patterns([q.entries for q in req.patterns])
+    plans = _kernels.compile_patterns(q.entries for q in req.patterns)
+
+    def search(root, sink):
+        return _kernels._count_from_root(req.n, root, plans, req.cyclic_only, sink)
+
+    # One kernel call per choice of the first entry, each with its own
+    # witness list. Results are reduced in root order, so any worker count
+    # gives identical output.
+    roots = range(1, req.n + 1)
+    sinks = [[] if req.collect else None for _ in roots]
+    workers = configured_workers(req.parallelism)
+    if workers > 1 and req.n > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(search, roots, sinks))
+    else:
+        results = list(map(search, roots, sinks))
+    witnesses = None
     if req.collect:
-        witnesses, nodes = _collect(req.n, pats, plens, req.cyclic_only)
-        return EnumerationResult(
-            count=len(witnesses),
-            witnesses=witnesses,
-            nodes_visited=nodes,
-            elapsed=time.perf_counter() - t0,
-        )
-    count, nodes = _count(
-        req.n, pats, plens, req.cyclic_only, configured_workers(req.parallelism)
+        witnesses = [Permutation(w) for sink in sinks for w in sink]
+    return EnumerationResult(
+        count=sum(c for c, _ in results),
+        witnesses=witnesses,
+        nodes_visited=sum(nd for _, nd in results),
+        elapsed=time.perf_counter() - t0,
     )
-    return EnumerationResult(count=count, nodes_visited=nodes, elapsed=time.perf_counter() - t0)
 
 
 def _check_cap(n: int, cap: Optional[int]) -> None:
@@ -121,49 +142,3 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
             f"n={n} exceeds the oracle cap {limit}; raise it with --cap/{_ENV_CAP} "
             "or --extended if you accept the runtime"
         )
-
-
-def _count(n, pats, plens, cyclic_only, workers) -> tuple[int, int]:
-    # Top-level partition: one kernel call per choice of the first entry.
-    # Per-root results are reduced in root order, so any worker count gives
-    # identical output; nogil kernels let threads overlap when jitted.
-    roots = range(1, n + 1)
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_kernels._count_from_root, n, r, pats, plens, cyclic_only)
-                for r in roots
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_kernels._count_from_root(n, r, pats, plens, cyclic_only) for r in roots]
-    count = sum(c for c, _ in results)
-    nodes = sum(nd for _, nd in results)
-    return count, nodes
-
-
-def _collect(n, pats, plens, cyclic_only) -> tuple[list[Permutation], int]:
-    # Witness extraction shares the kernel's pruning predicates but runs a
-    # plain recursive search; values are tried ascending, so the output is
-    # already in lexicographic order.
-    word = np.empty(n, np.int64)
-    used = [False] * (n + 1)
-    out: list[Permutation] = []
-    nodes = 0
-
-    def rec(m: int) -> None:
-        nonlocal nodes
-        if m == n:
-            if not cyclic_only or _kernels._is_n_cycle(word, n):
-                out.append(Permutation(tuple(int(x) for x in word)))
-            return
-        for v in range(1, n + 1):
-            if not used[v] and _kernels._extension_ok(word, m, v, pats, plens):
-                word[m] = v
-                used[v] = True
-                nodes += 1
-                rec(m + 1)
-                used[v] = False
-
-    rec(0)
-    return out, nodes

@@ -14,7 +14,7 @@ class NotABijection(CycpermError, ValueError):
 
 
 class EmptyInput(CycpermError, ValueError):
-    """A permutation of length zero was requested."""
+    """A permutation of length zero, or an empty pattern set, was requested."""
 
 
 class LengthMismatch(CycpermError, ValueError):
@@ -31,6 +31,10 @@ class BadPattern(CycpermError, ValueError):
 
 class LimitExceeded(CycpermError, ValueError):
     """A requested n lies above the configured oracle cap."""
+
+
+class BadSetting(CycpermError, ValueError):
+    """An environment variable holds a value that cannot be used."""
 
 
 class TooSmall(CycpermError, ValueError):

@@ -7,8 +7,8 @@ values are supported wherever containment only depends on relative order.
 
 Length-3 patterns get a dedicated O(n^2) scan; longer patterns fall back
 to backtracking subsequence search. At the sizes this package handles
-(n <= 13 in the oracle) both are instant, but the length-3 scan is what
-keeps the brute-force oracle's reference path fast.
+(n <= 13 in the oracle) both are instant; the harness uses them to
+re-verify the oracle's witnesses independently of its search.
 """
 from __future__ import annotations
 
@@ -223,8 +223,7 @@ def prefix_extension_safe(prefix: Sequence[int], nxt: int, qs: Iterable[Pattern]
     """True iff appending nxt keeps the prefix free of every pattern in qs.
 
     Assumes the prefix itself already avoids every pattern, so only copies
-    whose final entry is the appended value need to be ruled out. This is
-    what makes pruned backtracking pay only for new work at each node.
+    whose final entry is the appended value need to be ruled out.
     """
     if nxt in prefix:
         raise DuplicateValue(f"value {nxt} already occurs in the prefix")

@@ -222,3 +222,22 @@ def test_conjectures_alias():
     assert "ChainConjecture" in proc.stdout
     assert "InsertionTheorem" in proc.stdout
     assert "KMinusOneQuestion" in proc.stdout
+
+
+def test_count_n_zero_is_usage_error():
+    proc = run_cli("count", "--n", "0", "--avoid", "123")
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("cycperm: error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, value", [
+    ("CYCPERM_WORKERS", "x"),
+    ("CYCPERM_ORACLE_CAP", "abc"),
+])
+def test_bad_environment_value_is_usage_error(name, value):
+    proc = run_cli("count", "--n", "5", "--avoid", "123", env_extra={name: value})
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("cycperm: error:")
+    assert name in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,17 +1,22 @@
 """The brute-force oracle against full enumeration and reference counts."""
+import subprocess
+import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_ref import ref_count, ref_list
+from oracle_ref import ref_count, ref_is_cyclic, ref_list
 
 from cycperm.enumeration import (
     EnumerationRequest,
     count_avoiders,
     count_cyclic_avoiders,
     list_cyclic_avoiders,
+    run_enumeration,
 )
-from cycperm.errors import LimitExceeded
+from cycperm.errors import EmptyInput, LimitExceeded, TooSmall
 from cycperm.patterns import LENGTH3_PATTERNS, avoids_all, parse_pattern
 from cycperm.perm import is_cyclic, make_permutation
 
@@ -132,11 +137,11 @@ def test_cap_env_override(monkeypatch):
 
 
 def test_request_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooSmall):
         EnumerationRequest(n=0, patterns=(parse_pattern("123"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyInput):
         EnumerationRequest(n=3, patterns=())
-    with pytest.raises(ValueError):
+    with pytest.raises(TooSmall):
         EnumerationRequest(n=3, patterns=(parse_pattern("123"),), parallelism=0)
     with pytest.raises(ValueError):
         count_avoiders(EnumerationRequest(n=3, patterns=(parse_pattern("123"),)))
@@ -149,3 +154,31 @@ def test_short_patterns_are_legal():
     assert _all(4, ("12",)).count == 1
     assert _cyclic(2, ("12",)).count == 1
     assert _cyclic(4, ("12",)).count == 0
+
+
+_PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pats=st.lists(_PATTERN, min_size=1, max_size=3), n=st.integers(1, 7))
+def test_search_matches_full_enumeration(pats, n):
+    pats = [tuple(p) for p in pats]
+    qs = tuple(make_permutation(p) for p in pats)
+    every = ref_list(n, pats, cyclic_only=False)
+    cyclic = [p for p in every if ref_is_cyclic(p)]
+    assert [p.entries for p in list_cyclic_avoiders(n, qs)] == cyclic
+    for cyclic_only, want in ((True, len(cyclic)), (False, len(every))):
+        results = [
+            run_enumeration(EnumerationRequest(
+                n=n, patterns=qs, cyclic_only=cyclic_only, parallelism=workers))
+            for workers in (1, 2, 5)
+        ]
+        for r in results:
+            assert (r.count, r.nodes_visited) == (want, results[0].nodes_visited)
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, cycperm; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
