@@ -49,7 +49,6 @@ from .patterns import (
     avoids_all,
     contains,
     parse_pattern,
-    prefix_extension_safe,
 )
 from .perm import (
     Permutation,

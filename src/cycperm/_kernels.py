@@ -145,4 +145,8 @@ def _count_from_root(n: int, root: int, plans, cyclic_only: bool, sink=None) -> 
 
     full = (1 << top) - 2
     descend(0, full, 1 << root)
+    # Both closures reach themselves through their cells. Deleting them
+    # breaks that cycle, so this call's state is freed at once rather than
+    # left to the cyclic garbage collector.
+    del blocked, descend
     return count, nodes

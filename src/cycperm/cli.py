@@ -14,31 +14,27 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import harness
 from .enumeration import (
+    DEFAULT_CAP,
     EnumerationRequest,
+    _env_int,
     configured_cap,
-    configured_workers,
     run_enumeration,
 )
 from .errors import (
     BadPattern,
     BadSetting,
     CycpermError,
-    DuplicateValue,
-    EmptyInput,
-    LengthMismatch,
     LimitExceeded,
-    NonPositive,
-    NotABijection,
-    PreconditionViolated,
-    TooSmall,
     UnknownSequence,
     UnsupportedPair,
+    UsageError,
 )
 from .formulas import OEIS_SEQUENCES, PairFormulaId, format_bfile, pair_count, pair_id_from_labels
 from .layered import enumerate_good_triples, permutation_of_triple
@@ -46,25 +42,13 @@ from .patterns import parse_pattern, parse_pattern_set, pattern_set_label
 from .tables import CountTable
 
 #: Without --extended the oracle stays in the fast range; --extended
-#: unlocks n = 11..13 (and prints a runtime warning). An explicit --cap
-#: always wins, then the CYCPERM_ORACLE_CAP environment variable.
+#: unlocks n = 11..DEFAULT_CAP (and prints a runtime warning). An explicit
+#: --cap always wins, then the CYCPERM_ORACLE_CAP environment variable.
 CLI_DEFAULT_CAP = 10
-EXTENDED_CAP = 13
 
-_USAGE_ERRORS = (
-    BadPattern,
-    BadSetting,
-    DuplicateValue,
-    EmptyInput,
-    LengthMismatch,
-    LimitExceeded,
-    NonPositive,
-    NotABijection,
-    PreconditionViolated,
-    TooSmall,
-    UnknownSequence,
-    UnsupportedPair,
-)
+#: Accepted, like --workers, for compatibility only; the search runs on one
+#: thread. A value that is not an integer is still a usage error.
+_ENV_WORKERS = "CYCPERM_WORKERS"
 
 _CLAIMS = {
     "table1": "TableOne",
@@ -107,7 +91,6 @@ class RunConfig:
     offset: Optional[int] = None
     out: Optional[str] = None
     output_format: str = "tsv"
-    workers: int = 1
     oracle_cap: int = CLI_DEFAULT_CAP
     cap_explicit: bool = False
     cache_path: Optional[str] = None
@@ -133,7 +116,8 @@ def build_parser() -> _Parser:
 
     def common(p, formats=("tsv", "text", "json")):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--workers", type=int, default=None, help="oracle worker hint")
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for compatibility; no effect")
         p.add_argument("--cap", type=int, default=None, help="oracle n cap override")
         p.add_argument("--extended", action="store_true", help="unlock n = 11..13 oracle runs")
         p.add_argument("--quiet", action="store_true", help="suppress warnings on stderr")
@@ -178,7 +162,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _require_parent_dir(flag: str, path: Optional[str]) -> None:
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise BadSetting(f"{flag} {path}: directory {parent} does not exist")
+
+
 def _config_from_args(args) -> RunConfig:
+    if args.workers is None:
+        _env_int(_ENV_WORKERS)
+    _require_parent_dir("--cache", getattr(args, "cache", None))
+    _require_parent_dir("--out", getattr(args, "out", None))
     return RunConfig(
         command=args.command,
         n=getattr(args, "n", None),
@@ -191,9 +187,8 @@ def _config_from_args(args) -> RunConfig:
         offset=getattr(args, "offset", None),
         out=getattr(args, "out", None),
         output_format=args.format,
-        workers=configured_workers(args.workers),
         oracle_cap=configured_cap(
-            args.cap, default=EXTENDED_CAP if args.extended else CLI_DEFAULT_CAP
+            args.cap, default=DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP
         ),
         cap_explicit=args.cap is not None,
         cache_path=getattr(args, "cache", None),
@@ -245,7 +240,6 @@ def _oracle_count(cfg: RunConfig, n: int, labels: tuple[str, ...], cyclic: bool)
         n=n,
         patterns=tuple(parse_pattern(lbl) for lbl in labels),
         cyclic_only=cyclic,
-        parallelism=cfg.workers,
     )
     result = run_enumeration(req, cap=cfg.oracle_cap)
     if cfg.cache_path:
@@ -316,7 +310,7 @@ def cmd_verify(cfg: RunConfig) -> list[harness.VerificationReport]:
     cap = cfg.oracle_cap
     if not cfg.cap_explicit and claim_key in _ORACLE_CLAIMS:
         cap = max(cap, _DEFAULT_N_MAX[claim_key])
-    kwargs = {"cap": cap, "workers": cfg.workers}
+    kwargs = {"cap": cap}
     if claim_key == "table1":
         return [harness.check_table_one(n_max, **kwargs)]
     if claim_key == "formula-vs-oracle":
@@ -343,7 +337,7 @@ def cmd_verify(cfg: RunConfig) -> list[harness.VerificationReport]:
 
 def cmd_conjectures(cfg: RunConfig) -> list[harness.VerificationReport]:
     n_max = cfg.n_max if cfg.n_max is not None else 10
-    kwargs = {"cap": cfg.oracle_cap, "workers": cfg.workers}
+    kwargs = {"cap": cfg.oracle_cap}
     reports = [harness.check_chain_conjecture(n_max, **kwargs)]
     for lbl in harness.TABLE_ONE_COLUMNS:
         reports.append(harness.check_growth_bounds(parse_pattern(lbl), n_max, **kwargs))
@@ -450,7 +444,7 @@ def main(argv=None) -> int:
             cmd_export(cfg)
             return 0
         raise AssertionError(f"unhandled command {cfg.command}")
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"cycperm: error: {exc}", file=sys.stderr)
         return 64
     except CycpermError as exc:

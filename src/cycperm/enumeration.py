@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -26,7 +25,6 @@ from .perm import Permutation
 DEFAULT_CAP = 13
 
 _ENV_CAP = "CYCPERM_ORACLE_CAP"
-_ENV_WORKERS = "CYCPERM_WORKERS"
 
 
 def _env_int(name: str) -> Optional[int]:
@@ -47,16 +45,13 @@ def configured_cap(explicit: Optional[int] = None, default: int = DEFAULT_CAP) -
     return default if env is None else env
 
 
-def configured_workers(explicit: Optional[int] = None) -> int:
-    """The worker count: explicit value, then CYCPERM_WORKERS, then 1."""
-    if explicit is None:
-        explicit = _env_int(_ENV_WORKERS)
-    return 1 if explicit is None else max(1, explicit)
-
-
 @dataclass(frozen=True)
 class EnumerationRequest:
-    """One oracle invocation: length, patterns, and search options."""
+    """One oracle invocation: length, patterns, and search options.
+
+    ``parallelism`` is accepted and validated for compatibility but has no
+    effect: the search runs on one thread.
+    """
 
     n: int
     patterns: tuple[Pattern, ...]
@@ -109,28 +104,18 @@ def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> Enume
     _check_cap(req.n, cap)
     t0 = time.perf_counter()
     plans = _kernels.compile_patterns(q.entries for q in req.patterns)
-
-    def search(root, sink):
-        return _kernels._count_from_root(req.n, root, plans, req.cyclic_only, sink)
-
-    # One kernel call per choice of the first entry, each with its own
-    # witness list. Results are reduced in root order, so any worker count
-    # gives identical output.
-    roots = range(1, req.n + 1)
-    sinks = [[] if req.collect else None for _ in roots]
-    workers = configured_workers(req.parallelism)
-    if workers > 1 and req.n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(search, roots, sinks))
-    else:
-        results = list(map(search, roots, sinks))
-    witnesses = None
-    if req.collect:
-        witnesses = [Permutation(w) for sink in sinks for w in sink]
+    # One kernel call per choice of the first entry, in ascending order, so
+    # the shared witness list stays lexicographic.
+    witnesses = [] if req.collect else None
+    count = nodes = 0
+    for root in range(1, req.n + 1):
+        c, nd = _kernels._count_from_root(req.n, root, plans, req.cyclic_only, witnesses)
+        count += c
+        nodes += nd
     return EnumerationResult(
-        count=sum(c for c, _ in results),
-        witnesses=witnesses,
-        nodes_visited=sum(nd for _, nd in results),
+        count=count,
+        witnesses=None if witnesses is None else [Permutation(w) for w in witnesses],
+        nodes_visited=nodes,
         elapsed=time.perf_counter() - t0,
     )
 

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Most are thin ValueError subclasses so callers can either catch the
-specific condition or treat everything as a bad-input error.
+Every error caused by bad input derives from UsageError, a ValueError, so
+callers can either catch the specific condition or treat everything as a
+bad-input error; the CLI maps UsageError to exit 64 and any other
+CycpermError to exit 1.
 """
 
 
@@ -9,47 +11,47 @@ class CycpermError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotABijection(CycpermError, ValueError):
+class UsageError(CycpermError, ValueError):
+    """Base class for errors caused by bad input rather than by a bug."""
+
+
+class NotABijection(UsageError):
     """The given values are not a rearrangement of 1..n."""
 
 
-class EmptyInput(CycpermError, ValueError):
+class EmptyInput(UsageError):
     """A permutation of length zero, or an empty pattern set, was requested."""
 
 
-class LengthMismatch(CycpermError, ValueError):
+class LengthMismatch(UsageError):
     """Two permutations of different lengths were combined."""
 
 
-class DuplicateValue(CycpermError, ValueError):
-    """A value was appended to a prefix that already contains it."""
-
-
-class BadPattern(CycpermError, ValueError):
+class BadPattern(UsageError):
     """A pattern string could not be parsed."""
 
 
-class LimitExceeded(CycpermError, ValueError):
+class LimitExceeded(UsageError):
     """A requested n lies above the configured oracle cap."""
 
 
-class BadSetting(CycpermError, ValueError):
-    """An environment variable holds a value that cannot be used."""
+class BadSetting(UsageError):
+    """A flag or environment variable holds a value that cannot be used."""
 
 
-class TooSmall(CycpermError, ValueError):
+class TooSmall(UsageError):
     """A requested n lies below the smallest meaningful value."""
 
 
-class NonPositive(CycpermError, ValueError):
+class NonPositive(UsageError):
     """A number-theoretic function was called with z < 1."""
 
 
-class UnsupportedPair(CycpermError, ValueError):
+class UnsupportedPair(UsageError):
     """No closed-form count is available for the requested pattern pair."""
 
 
-class UnknownSequence(CycpermError, ValueError):
+class UnknownSequence(UsageError):
     """The requested OEIS sequence id is not produced by this package."""
 
 
@@ -57,7 +59,7 @@ class InternalInconsistency(CycpermError, RuntimeError):
     """An arithmetic identity that must hold was violated; this is a bug."""
 
 
-class PreconditionViolated(CycpermError, ValueError):
+class PreconditionViolated(UsageError):
     """An operation's stated hypothesis does not hold for the input."""
 
     def __init__(self, which: str):

@@ -136,13 +136,12 @@ class _ReportBuilder:
 _COUNT_CACHE: dict[tuple, int] = {}
 
 
-def cyclic_count(patterns: Iterable[Pattern], n: int, workers: int = 1) -> int:
-    """Oracle count with an in-process memo (results are deterministic, so
-    the worker hint is not part of the key). Callers validate caps."""
+def cyclic_count(patterns: Iterable[Pattern], n: int) -> int:
+    """Oracle count with an in-process memo. Callers validate caps."""
     qs = canonical_patterns(patterns)
     key = (tuple(q.entries for q in qs), n)
     if key not in _COUNT_CACHE:
-        req = EnumerationRequest(n=n, patterns=qs, cyclic_only=True, parallelism=workers)
+        req = EnumerationRequest(n=n, patterns=qs, cyclic_only=True)
         _COUNT_CACHE[key] = run_enumeration(req, cap=n).count
     return _COUNT_CACHE[key]
 
@@ -153,6 +152,10 @@ def _require_within_cap(n_max: int, cap: Optional[int]) -> None:
         raise LimitExceeded(f"n_max={n_max} exceeds the oracle cap {limit}")
 
 
+# reproduce_table_one and the check_* functions take ``workers`` for
+# compatibility only; the oracle runs on one thread.
+
+
 def reproduce_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1):
     """Oracle counts for the six single patterns, n = 3..n_max, as a table."""
     from .tables import CountTable
@@ -161,7 +164,7 @@ def reproduce_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1)
     table = CountTable(columns=TABLE_ONE_COLUMNS)
     for n in range(3, n_max + 1):
         for label in TABLE_ONE_COLUMNS:
-            table.set(n, label, cyclic_count([parse_pattern(label)], n, workers), "oracle")
+            table.set(n, label, cyclic_count([parse_pattern(label)], n), "oracle")
     return table
 
 
@@ -175,7 +178,7 @@ def check_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1) -> 
     rep = _ReportBuilder("TableOne")
     for n in range(3, n_max + 1):
         for label, expected in zip(TABLE_ONE_COLUMNS, TABLE_ONE[n]):
-            got = cyclic_count([parse_pattern(label)], n, workers)
+            got = cyclic_count([parse_pattern(label)], n)
             rep.record(n, got == expected, f"C_{n}({label}) = {got}, reference says {expected}")
     return rep.done()
 
@@ -195,7 +198,7 @@ def check_formula_vs_oracle(
         for pair in pair_list:
             qs = [parse_pattern(lbl) for lbl in pair.value.split(",")]
             formula = pair_count(pair, n)
-            oracle = cyclic_count(qs, n, workers)
+            oracle = cyclic_count(qs, n)
             rep.record(
                 n,
                 formula == oracle,
@@ -229,7 +232,7 @@ def check_chain_conjecture(
     rep = _ReportBuilder("ChainConjecture")
     for n in range(3, n_max + 1):
         c = {
-            label: cyclic_count([parse_pattern(label)], n, workers)
+            label: cyclic_count([parse_pattern(label)], n)
             for label in TABLE_ONE_COLUMNS
         }
         ok = (
@@ -253,9 +256,9 @@ def check_growth_bounds(
     _require_within_cap(n_max, cap)
     rep = _ReportBuilder("GrowthBounds")
     label = pattern_label(q)
-    prev = cyclic_count([q], 3, workers)
+    prev = cyclic_count([q], 3)
     for n in range(3, n_max):
-        nxt = cyclic_count([q], n + 1, workers)
+        nxt = cyclic_count([q], n + 1)
         ok = 2 * prev <= nxt <= 4 * prev
         rep.record(
             n,
@@ -324,7 +327,7 @@ def check_insertion_theorem(
         s_set = {insertion_construction(p, q) for p in avoiders}
         t_set = {inverse(s) for s in s_set}
         c_n = len(avoiders)
-        c_next = cyclic_count([q], n + 1, workers)
+        c_next = cyclic_count([q], n + 1)
         bad_member = next(
             (
                 s
@@ -359,8 +362,8 @@ def check_k_minus_one_question(
     rep = _ReportBuilder("KMinusOneQuestion")
     label = pattern_label(q)
     for n in range(k, n_max):
-        c_n = cyclic_count([q], n, workers)
-        c_next = cyclic_count([q], n + 1, workers)
+        c_n = cyclic_count([q], n)
+        c_next = cyclic_count([q], n + 1)
         rep.record(
             n,
             (k - 1) * c_n <= c_next,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Sequence
 
-from .errors import BadPattern, DuplicateValue
+from .errors import BadPattern
 from .perm import Permutation, make_permutation
 
 # A pattern is just a permutation acting as a template.
@@ -189,42 +189,3 @@ def _contains_backtrack(word: Sequence[int], pat: Sequence[int]) -> bool:
 
     return extend(0)
 
-
-def completes_pattern(prefix: Sequence[int], nxt: int, q: Pattern) -> bool:
-    """True iff appending nxt to prefix creates a copy of q ending at nxt."""
-    k = len(q)
-    pat = q.entries
-    if k == 1:
-        return True
-    m = len(prefix)
-    if m < k - 1:
-        return False
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        t = len(chosen)
-        if t == k - 1:
-            return True
-        for c in range(start, m - (k - 1 - t) + 1):
-            w = prefix[c]
-            if (pat[t] < pat[k - 1]) != (w < nxt):
-                continue
-            if all((pat[s] < pat[t]) == (prefix[chosen[s]] < w) for s in range(t)):
-                chosen.append(c)
-                if extend(c + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
-
-
-def prefix_extension_safe(prefix: Sequence[int], nxt: int, qs: Iterable[Pattern]) -> bool:
-    """True iff appending nxt keeps the prefix free of every pattern in qs.
-
-    Assumes the prefix itself already avoids every pattern, so only copies
-    whose final entry is the appended value need to be ruled out.
-    """
-    if nxt in prefix:
-        raise DuplicateValue(f"value {nxt} already occurs in the prefix")
-    return all(not completes_pattern(prefix, nxt, q) for q in qs)

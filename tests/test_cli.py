@@ -241,3 +241,18 @@ def test_bad_environment_value_is_usage_error(name, value):
     assert proc.stderr.startswith("cycperm: error:")
     assert name in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--cache", ("count", "--n", "5", "--avoid", "123")),
+    ("--out", ("export", "--seq", "A309563", "--n-max", "5", "--offset", "1")),
+])
+def test_missing_output_directory_is_usage_error(tmp_path, flag, args):
+    target = tmp_path / "missing" / "x.txt"
+    proc = run_cli(*args, flag, str(target))
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("cycperm: error:")
+    assert str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not target.parent.exists()

@@ -1,4 +1,5 @@
 """The brute-force oracle against full enumeration and reference counts."""
+import gc
 import subprocess
 import sys
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracle_ref import ref_count, ref_is_cyclic, ref_list
 
+from cycperm import _kernels
 from cycperm.enumeration import (
     EnumerationRequest,
     count_avoiders,
@@ -178,7 +180,21 @@ def test_search_matches_full_enumeration(pats, n):
 
 
 def test_import_leaves_numpy_out():
-    code = "import sys, cycperm; print('numpy' in sys.modules)"
+    code = ("import sys, cycperm; "
+            "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_search_leaves_no_reference_cycles():
+    # Each oracle call searches n subtrees; state that only the cyclic
+    # collector frees would make every call pay for collections later.
+    plans = _kernels.compile_patterns([(1, 2, 3), (2, 3, 1)])
+    gc.collect()
+    gc.disable()
+    try:
+        _kernels._count_from_root(7, 1, plans, True, [])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,4 @@
-"""Containment, avoidance, and the incremental prefix-extension test."""
+"""Pattern parsing, containment and avoidance."""
 import random
 from itertools import permutations
 
@@ -6,7 +6,7 @@ import pytest
 
 from oracle_ref import ref_contains
 
-from cycperm.errors import BadPattern, DuplicateValue
+from cycperm.errors import BadPattern
 from cycperm.patterns import (
     LENGTH3_PATTERNS,
     avoids_all,
@@ -16,7 +16,6 @@ from cycperm.patterns import (
     parse_pattern_set,
     pattern_label,
     pattern_set_label,
-    prefix_extension_safe,
     word_contains,
 )
 from cycperm.perm import Permutation, inverse, make_permutation, parse_permutation, reverse_complement
@@ -98,29 +97,3 @@ def test_symmetry_transport():
                     reverse_complement(p), reverse_complement(q)
                 )
 
-
-def test_prefix_extension_safe():
-    both = [parse_pattern("123"), parse_pattern("231")]
-    assert prefix_extension_safe([9, 8], 7, both)
-    assert not prefix_extension_safe([1, 2], 3, [parse_pattern("123")])
-    assert not prefix_extension_safe([2, 4], 1, [parse_pattern("231")])
-    with pytest.raises(DuplicateValue):
-        prefix_extension_safe([2, 4], 4, both)
-
-
-def test_prefix_extension_matches_full_recheck():
-    # on prefixes that avoid everything, appending is safe iff the extended
-    # word contains no pattern at all
-    rng = random.Random(11)
-    pats = [q.entries for q in LENGTH3_PATTERNS] + [(4, 2, 3, 1)]
-    qs = [Permutation(p) for p in pats]
-    trials = 0
-    while trials < 200:
-        n = rng.randint(1, 8)
-        word = rng.sample(range(1, 30), n + 1)
-        prefix, nxt = word[:-1], word[-1]
-        if not all(not ref_contains(prefix, p) for p in pats):
-            continue
-        trials += 1
-        expected = all(not ref_contains(word, p) for p in pats)
-        assert prefix_extension_safe(prefix, nxt, qs) == expected
