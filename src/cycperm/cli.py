@@ -163,8 +163,11 @@ def build_parser() -> _Parser:
 
 
 def _require_parent_dir(flag: str, path: Optional[str]) -> None:
+    """An output path must name a file in an existing directory."""
     if not path:
         return
+    if os.path.isdir(path):
+        raise BadSetting(f"{flag} {path}: is a directory, not a file")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise BadSetting(f"{flag} {path}: directory {parent} does not exist")
@@ -200,7 +203,7 @@ def _config_from_args(args) -> RunConfig:
 
 # --- oracle result cache -----------------------------------------------------
 # One JSON object per line, append-only; concurrent writers rely on whole-line
-# records and any torn/corrupt line is simply treated as a miss.
+# records and any torn/corrupt/non-UTF-8 line is simply treated as a miss.
 
 
 def _cache_key(n: int, labels: tuple[str, ...], cyclic: bool) -> str:
@@ -209,19 +212,23 @@ def _cache_key(n: int, labels: tuple[str, ...], cyclic: bool) -> str:
 
 
 def cache_lookup(path: str, key: str) -> Optional[dict]:
+    """The last valid record for ``key``, or None. Lines are streamed as
+    bytes and only those that contain the key are parsed."""
+    needle = key.encode("ascii")
+    hit = None
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            for line in fh:
+                if needle not in line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(record, dict) and record.get("key") == key:
+                    hit = record
     except OSError:
         return None
-    hit = None
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and record.get("key") == key:
-            hit = record
     return hit
 
 
@@ -354,6 +361,31 @@ def cmd_triples(cfg: RunConfig) -> list:
     return enumerate_good_triples(cfg.n)
 
 
+def _write_whole(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` so that a reader sees the old content or
+    all of the new, never part of it: a file beside the target (through any
+    symlink) is written, then renamed over it. The file is not fsynced, so
+    after a crash the target may still be empty or short. A target that is
+    neither a regular file nor missing, such as /dev/stdout or a FIFO,
+    cannot be renamed over and is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp_path = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp_path, target)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 def cmd_export(cfg: RunConfig) -> str:
     seq = OEIS_SEQUENCES.get(cfg.seq)
     if seq is None:
@@ -371,8 +403,7 @@ def cmd_export(cfg: RunConfig) -> str:
         pairs = [(n, _oracle_count(cfg, n, seq.pattern_labels, True)) for n in ns]
     text = format_bfile(pairs)
     out_path = cfg.out or f"b{cfg.seq[1:]}.txt"
-    with open(out_path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    _write_whole(out_path, text)
     _warn(cfg, f"wrote {len(pairs)} lines to {out_path}")
     return out_path
 

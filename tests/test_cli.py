@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cycperm import cli
 from cycperm.tables import CountTable
 
 
@@ -152,6 +153,69 @@ def test_export_oracle_backed(tmp_path):
     assert out.read_text() == "3 2\n4 4\n5 10\n6 24\n7 68\n8 188\n"
 
 
+def test_export_replaces_existing_file_whole(tmp_path):
+    out = tmp_path / "b309563.txt"
+    out.write_text("stale\n" * 1000)
+    proc = run_cli("export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "1 1\n2 1\n3 1\n4 1\n5 2\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_export_failed_rename_keeps_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "b309563.txt"
+    out.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli.main(["export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                  "--quiet", "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_export_through_symlink_keeps_link(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    proc = run_cli("export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                   "--out", str(link))
+    assert proc.returncode == 0, proc.stderr
+    assert link.is_symlink()
+    assert real.read_text() == "1 1\n2 1\n3 1\n4 1\n5 2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_export_to_a_pipe_writes_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE, text=True)
+    try:
+        proc = run_cli("export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                       "--out", str(fifo))
+        out, _ = reader.communicate(timeout=30)
+    finally:
+        reader.kill()
+        reader.wait()
+    assert proc.returncode == 0, proc.stderr
+    assert out == "1 1\n2 1\n3 1\n4 1\n5 2\n"
+    assert fifo.is_fifo()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_export_to_piped_stdout_writes_in_place():
+    proc = run_cli("export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                   "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "1 1\n2 1\n3 1\n4 1\n5 2\n"
+
+
 def test_export_unknown_sequence(tmp_path):
     proc = run_cli("export", "--seq", "A000001", "--n-max", "5", "--offset", "1",
                    "--out", str(tmp_path / "x.txt"))
@@ -180,6 +244,59 @@ def test_cache_hits_and_torn_lines(tmp_path):
     # the torn line is ignored, not an error, and no recompute row is added
     # for the cached request
     assert cache.read_text().count('"n": 7') == 1
+
+
+def test_cache_skips_non_utf8_bytes(tmp_path):
+    cache = tmp_path / "oracle.jsonl"
+    args = ("count", "--n", "7", "--avoid", "321", "--cache", str(cache))
+    first = run_cli(*args)
+    assert first.returncode == 0
+    cache.write_bytes(b"\xff\xfe garbage\n" + cache.read_bytes())
+    second = run_cli(*args)
+    assert second.returncode == 0, second.stderr
+    assert "Traceback" not in second.stderr
+    assert second.stdout == first.stdout
+    assert cache.read_bytes().count(b'"n": 7') == 1
+
+
+KEY = "ab" * 32
+OTHER = "cd" * 32
+
+
+def _write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def test_cache_lookup_missing_file_is_miss(tmp_path):
+    assert cli.cache_lookup(str(tmp_path / "absent.jsonl"), KEY) is None
+
+
+def test_cache_lookup_last_record_wins(tmp_path):
+    path = _write_lines(
+        tmp_path / "c.jsonl",
+        json.dumps({"key": KEY, "count": 1}),
+        json.dumps({"key": OTHER, "count": 2}),
+        json.dumps({"key": KEY, "count": 3}),
+    )
+    assert cli.cache_lookup(path, KEY) == {"key": KEY, "count": 3}
+
+
+def test_cache_lookup_skips_torn_line_with_key(tmp_path):
+    path = _write_lines(
+        tmp_path / "c.jsonl",
+        json.dumps({"key": KEY, "count": 5}),
+        '{"count": 6, "key": "' + KEY + '"',
+    )
+    assert cli.cache_lookup(path, KEY) == {"key": KEY, "count": 5}
+
+
+def test_cache_lookup_key_elsewhere_in_record_is_miss(tmp_path):
+    path = _write_lines(
+        tmp_path / "c.jsonl",
+        json.dumps({"key": OTHER, "count": 7, "note": KEY}),
+    )
+    assert cli.cache_lookup(path, KEY) is None
 
 
 def test_cache_distinguishes_cyclic_flag(tmp_path):
@@ -256,3 +373,16 @@ def test_missing_output_directory_is_usage_error(tmp_path, flag, args):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--cache", ("count", "--n", "5", "--avoid", "123")),
+    ("--out", ("export", "--seq", "A309563", "--n-max", "5", "--offset", "1")),
+])
+def test_directory_as_output_path_is_usage_error(tmp_path, flag, args):
+    proc = run_cli(*args, flag, str(tmp_path))
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("cycperm: error:")
+    assert str(tmp_path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
