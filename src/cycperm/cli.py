@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import harness
@@ -36,7 +35,7 @@ from .errors import (
     UnsupportedPair,
     UsageError,
 )
-from .formulas import OEIS_SEQUENCES, PairFormulaId, format_bfile, pair_count, pair_id_from_labels
+from .formulas import OEIS_SEQUENCES, format_bfile, pair_count, pair_id_from_labels
 from .layered import enumerate_good_triples, permutation_of_triple
 from .patterns import parse_pattern, parse_pattern_set, pattern_set_label
 from .tables import CountTable
@@ -50,16 +49,7 @@ CLI_DEFAULT_CAP = 10
 #: thread. A value that is not an integer is still a usage error.
 _ENV_WORKERS = "CYCPERM_WORKERS"
 
-_CLAIMS = {
-    "table1": "TableOne",
-    "formula-vs-oracle": "FormulaVsOracle",
-    "triple-formula": "TripleFormula",
-    "chain": "ChainConjecture",
-    "growth": "GrowthBounds",
-    "insertion": "InsertionTheorem",
-    "k-minus-one": "KMinusOneQuestion",
-}
-
+#: The claims ``verify --claim`` accepts, each with its default --n-max.
 _DEFAULT_N_MAX = {
     "table1": 10,
     "formula-vs-oracle": 11,
@@ -70,34 +60,6 @@ _DEFAULT_N_MAX = {
     "k-minus-one": 10,
 }
 
-#: A claim's default range always runs, cap or not, unless --cap was given
-#: explicitly (formula-vs-oracle reaches n = 11, but pair-avoider search
-#: trees are tiny, so the factorial-cost rationale for the cap is moot).
-_ORACLE_CLAIMS = ("table1", "formula-vs-oracle", "chain", "growth", "insertion", "k-minus-one")
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation settings shared by the subcommand handlers."""
-
-    command: str
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    avoid: tuple[str, ...] = ()
-    pair: Optional[str] = None
-    count_all: bool = False
-    claim: Optional[str] = None
-    seq: Optional[str] = None
-    offset: Optional[int] = None
-    out: Optional[str] = None
-    output_format: str = "tsv"
-    oracle_cap: int = CLI_DEFAULT_CAP
-    cap_explicit: bool = False
-    cache_path: Optional[str] = None
-    extended: bool = False
-    quiet: bool = False
-    with_perms: bool = False
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract is 64
@@ -105,8 +67,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _warn(cfg: RunConfig, message: str) -> None:
-    if not cfg.quiet:
+def _warn(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
         print(f"cycperm: {message}", file=sys.stderr)
 
 
@@ -137,7 +99,7 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("verify", help="check one claim over a range")
-    p.add_argument("--claim", required=True, choices=sorted(_CLAIMS))
+    p.add_argument("--claim", required=True, choices=sorted(_DEFAULT_N_MAX))
     p.add_argument("--n-max", type=int)
     p.add_argument("--pair", metavar="Q1,Q2", help="restrict formula-vs-oracle to one pair")
     p.add_argument("--avoid", action="append", metavar="PATTERN",
@@ -173,37 +135,21 @@ def _require_parent_dir(flag: str, path: Optional[str]) -> None:
         raise BadSetting(f"{flag} {path}: directory {parent} does not exist")
 
 
-def _config_from_args(args) -> RunConfig:
+def _resolve_cap(args: argparse.Namespace) -> int:
+    """Raise the usage errors argparse cannot see, then resolve the oracle
+    cap once, before any subcommand runs: --cap, then CYCPERM_ORACLE_CAP,
+    then the default (DEFAULT_CAP with --extended, else CLI_DEFAULT_CAP)."""
     if args.workers is None:
         _env_int(_ENV_WORKERS)
     _require_parent_dir("--cache", getattr(args, "cache", None))
     _require_parent_dir("--out", getattr(args, "out", None))
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        avoid=tuple(getattr(args, "avoid", None) or ()),
-        pair=getattr(args, "pair", None),
-        count_all=getattr(args, "all", False),
-        claim=getattr(args, "claim", None),
-        seq=getattr(args, "seq", None),
-        offset=getattr(args, "offset", None),
-        out=getattr(args, "out", None),
-        output_format=args.format,
-        oracle_cap=configured_cap(
-            args.cap, default=DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP
-        ),
-        cap_explicit=args.cap is not None,
-        cache_path=getattr(args, "cache", None),
-        extended=args.extended,
-        quiet=args.quiet,
-        with_perms=getattr(args, "with_perms", False),
-    )
+    return configured_cap(args.cap, default=DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP)
 
 
 # --- oracle result cache -----------------------------------------------------
 # One JSON object per line, append-only; concurrent writers rely on whole-line
-# records and any torn/corrupt/non-UTF-8 line is simply treated as a miss.
+# records and any torn/corrupt/non-UTF-8 line, or a record whose count is not
+# a non-negative integer, is simply treated as a miss.
 
 
 def _cache_key(n: int, labels: tuple[str, ...], cyclic: bool) -> str:
@@ -213,7 +159,8 @@ def _cache_key(n: int, labels: tuple[str, ...], cyclic: bool) -> str:
 
 def cache_lookup(path: str, key: str) -> Optional[dict]:
     """The last valid record for ``key``, or None. Lines are streamed as
-    bytes and only those that contain the key are parsed."""
+    bytes and only those that contain the key are parsed. A record is valid
+    when its ``"count"`` is a non-negative integer (``true`` is not)."""
     needle = key.encode("ascii")
     hit = None
     try:
@@ -225,7 +172,9 @@ def cache_lookup(path: str, key: str) -> Optional[dict]:
                     record = json.loads(line)
                 except ValueError:
                     continue
-                if isinstance(record, dict) and record.get("key") == key:
+                if not isinstance(record, dict) or record.get("key") != key:
+                    continue
+                if type(record.get("count")) is int and record["count"] >= 0:
                     hit = record
     except OSError:
         return None
@@ -233,25 +182,34 @@ def cache_lookup(path: str, key: str) -> Optional[dict]:
 
 
 def cache_append(path: str, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Append ``record`` as one line. After a torn last line that lacks its
+    newline the record starts on a new line, so it is not glued onto it."""
+    line = json.dumps(record, sort_keys=True).encode("ascii") + b"\n"
+    with open(path, "ab+") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
 
 
-def _oracle_count(cfg: RunConfig, n: int, labels: tuple[str, ...], cyclic: bool) -> int:
+def _oracle_count(
+    n: int, labels: tuple[str, ...], cyclic: bool, cap: int, cache_path: Optional[str]
+) -> int:
     key = _cache_key(n, labels, cyclic)
-    if cfg.cache_path:
-        hit = cache_lookup(cfg.cache_path, key)
+    if cache_path:
+        hit = cache_lookup(cache_path, key)
         if hit is not None:
-            return int(hit["count"])
+            return hit["count"]
     req = EnumerationRequest(
         n=n,
         patterns=tuple(parse_pattern(lbl) for lbl in labels),
         cyclic_only=cyclic,
     )
-    result = run_enumeration(req, cap=cfg.oracle_cap)
-    if cfg.cache_path:
+    result = run_enumeration(req, cap=cap)
+    if cache_path:
         cache_append(
-            cfg.cache_path,
+            cache_path,
             {
                 "key": key,
                 "n": n,
@@ -267,98 +225,94 @@ def _oracle_count(cfg: RunConfig, n: int, labels: tuple[str, ...], cyclic: bool)
 # --- subcommands -------------------------------------------------------------
 
 
-def _n_range(cfg: RunConfig, lowest: int = 1) -> list[int]:
-    if cfg.n is not None and cfg.n_max is not None:
-        return list(range(cfg.n, cfg.n_max + 1))
-    if cfg.n is not None:
-        return [cfg.n]
-    if cfg.n_max is not None:
-        return list(range(lowest, cfg.n_max + 1))
+def _n_range(args: argparse.Namespace) -> list[int]:
+    if args.n is not None and args.n_max is not None:
+        return list(range(args.n, args.n_max + 1))
+    if args.n is not None:
+        return [args.n]
+    if args.n_max is not None:
+        return list(range(1, args.n_max + 1))
     raise BadPattern("one of --n / --n-max is required")
 
 
-def cmd_count(cfg: RunConfig) -> CountTable:
-    qs = parse_pattern_set(cfg.avoid)
+def cmd_count(args: argparse.Namespace, cap: int) -> CountTable:
+    qs = parse_pattern_set(args.avoid)
     label = pattern_set_label(qs)
     labels = tuple(label.split(","))
-    ns = _n_range(cfg)
-    if any(n > 10 for n in ns):
-        _warn(cfg, f"oracle runs above n = 10 can take minutes (cap {cfg.oracle_cap})")
+    ns = _n_range(args)
+    if any(n > CLI_DEFAULT_CAP for n in ns):
+        _warn(args, f"oracle runs above n = {CLI_DEFAULT_CAP} can take minutes (cap {cap})")
     table = CountTable(columns=(label,))
     for n in ns:
-        table.set(n, label, _oracle_count(cfg, n, labels, not cfg.count_all), "oracle")
+        table.set(n, label, _oracle_count(n, labels, not args.all, cap, args.cache), "oracle")
     return table
 
 
-def cmd_formula(cfg: RunConfig) -> CountTable:
-    first, _, second = (cfg.pair or "").partition(",")
+def cmd_formula(args: argparse.Namespace) -> CountTable:
+    first, _, second = (args.pair or "").partition(",")
     if not second:
-        raise UnsupportedPair(f"--pair wants the form Q1,Q2, got {cfg.pair!r}")
+        raise UnsupportedPair(f"--pair wants the form Q1,Q2, got {args.pair!r}")
     pair = pair_id_from_labels(first, second)
     table = CountTable(columns=(pair.value,))
-    for n in _n_range(cfg):
+    for n in _n_range(args):
         table.set(n, pair.value, pair_count(pair, n), "formula")
     return table
 
 
-def _claim_patterns(cfg: RunConfig, claim_key: str) -> list:
-    if cfg.avoid:
-        return [parse_pattern(a) for a in cfg.avoid]
+def _claim_patterns(args: argparse.Namespace, claim_key: str) -> list:
+    if args.avoid:
+        return [parse_pattern(a) for a in args.avoid]
     if claim_key == "insertion":
         return [parse_pattern(lbl) for lbl in harness.INSERTION_PATTERNS]
     return [parse_pattern(lbl) for lbl in harness.TABLE_ONE_COLUMNS]
 
 
-def cmd_verify(cfg: RunConfig) -> list[harness.VerificationReport]:
-    claim_key = cfg.claim
-    n_max = cfg.n_max if cfg.n_max is not None else _DEFAULT_N_MAX[claim_key]
-    if n_max > 10 and claim_key != "triple-formula":
-        _warn(cfg, f"oracle-backed verification up to n = {n_max} can take minutes")
-    cap = cfg.oracle_cap
-    if not cfg.cap_explicit and claim_key in _ORACLE_CLAIMS:
+def cmd_verify(args: argparse.Namespace, cap: int) -> list[harness.VerificationReport]:
+    claim_key = args.claim
+    n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[claim_key]
+    if n_max > CLI_DEFAULT_CAP and claim_key != "triple-formula":
+        _warn(args, f"oracle-backed verification up to n = {n_max} can take minutes")
+    # A claim's default range always runs, cap or not, unless --cap was given
+    # (formula-vs-oracle reaches n = 11, but pair-avoider search trees are
+    # tiny, so the factorial-cost rationale for the cap is moot).
+    if args.cap is None and claim_key != "triple-formula":
         cap = max(cap, _DEFAULT_N_MAX[claim_key])
-    kwargs = {"cap": cap}
     if claim_key == "table1":
-        return [harness.check_table_one(n_max, **kwargs)]
+        return [harness.check_table_one(n_max, cap=cap)]
     if claim_key == "formula-vs-oracle":
         pairs = None
-        if cfg.pair:
-            first, _, second = cfg.pair.partition(",")
+        if args.pair:
+            first, _, second = args.pair.partition(",")
             pairs = [pair_id_from_labels(first, second)]
-        return [harness.check_formula_vs_oracle(pairs, n_max, **kwargs)]
+        return [harness.check_formula_vs_oracle(pairs, n_max, cap=cap)]
     if claim_key == "triple-formula":
         return [harness.check_triple_formula(n_max)]
     if claim_key == "chain":
-        return [harness.check_chain_conjecture(n_max, **kwargs)]
-    if claim_key == "growth":
-        return [harness.check_growth_bounds(q, n_max, **kwargs) for q in _claim_patterns(cfg, claim_key)]
-    if claim_key == "insertion":
-        return [harness.check_insertion_theorem(q, n_max, **kwargs) for q in _claim_patterns(cfg, claim_key)]
-    if claim_key == "k-minus-one":
-        return [
-            harness.check_k_minus_one_question(q, n_max, **kwargs)
-            for q in _claim_patterns(cfg, claim_key)
-        ]
-    raise BadPattern(f"unknown claim {claim_key!r}")
+        return [harness.check_chain_conjecture(n_max, cap=cap)]
+    check = {
+        "growth": harness.check_growth_bounds,
+        "insertion": harness.check_insertion_theorem,
+        "k-minus-one": harness.check_k_minus_one_question,
+    }[claim_key]
+    return [check(q, n_max, cap=cap) for q in _claim_patterns(args, claim_key)]
 
 
-def cmd_conjectures(cfg: RunConfig) -> list[harness.VerificationReport]:
-    n_max = cfg.n_max if cfg.n_max is not None else 10
-    kwargs = {"cap": cfg.oracle_cap}
-    reports = [harness.check_chain_conjecture(n_max, **kwargs)]
+def cmd_conjectures(args: argparse.Namespace, cap: int) -> list[harness.VerificationReport]:
+    n_max = args.n_max
+    reports = [harness.check_chain_conjecture(n_max, cap=cap)]
     for lbl in harness.TABLE_ONE_COLUMNS:
-        reports.append(harness.check_growth_bounds(parse_pattern(lbl), n_max, **kwargs))
+        reports.append(harness.check_growth_bounds(parse_pattern(lbl), n_max, cap=cap))
     for lbl in harness.INSERTION_PATTERNS:
         reports.append(
-            harness.check_insertion_theorem(parse_pattern(lbl), min(n_max, 9), **kwargs)
+            harness.check_insertion_theorem(parse_pattern(lbl), min(n_max, 9), cap=cap)
         )
     for lbl in harness.TABLE_ONE_COLUMNS:
-        reports.append(harness.check_k_minus_one_question(parse_pattern(lbl), n_max, **kwargs))
+        reports.append(harness.check_k_minus_one_question(parse_pattern(lbl), n_max, cap=cap))
     return reports
 
 
-def cmd_triples(cfg: RunConfig) -> list:
-    return enumerate_good_triples(cfg.n)
+def cmd_triples(args: argparse.Namespace) -> list:
+    return enumerate_good_triples(args.n)
 
 
 def _write_whole(path: str, text: str) -> None:
@@ -386,25 +340,25 @@ def _write_whole(path: str, text: str) -> None:
         raise
 
 
-def cmd_export(cfg: RunConfig) -> str:
-    seq = OEIS_SEQUENCES.get(cfg.seq)
+def cmd_export(args: argparse.Namespace, cap: int) -> str:
+    seq = OEIS_SEQUENCES.get(args.seq)
     if seq is None:
         known = ", ".join(sorted(OEIS_SEQUENCES))
-        raise UnknownSequence(f"unknown sequence {cfg.seq!r} (supported: {known})")
-    ns = range(cfg.offset, cfg.n_max + 1)
+        raise UnknownSequence(f"unknown sequence {args.seq!r} (supported: {known})")
+    ns = range(args.offset, args.n_max + 1)
     if seq.kind == "formula":
         pairs = [(n, seq.formula(n)) for n in ns]
     else:
-        if cfg.n_max > cfg.oracle_cap:
+        if args.n_max > cap:
             raise LimitExceeded(
-                f"sequence {seq.ident} is oracle-backed; n_max={cfg.n_max} exceeds "
-                f"the cap {cfg.oracle_cap}"
+                f"sequence {seq.ident} is oracle-backed; n_max={args.n_max} exceeds "
+                f"the cap {cap}"
             )
-        pairs = [(n, _oracle_count(cfg, n, seq.pattern_labels, True)) for n in ns]
+        pairs = [(n, _oracle_count(n, seq.pattern_labels, True, cap, None)) for n in ns]
     text = format_bfile(pairs)
-    out_path = cfg.out or f"b{cfg.seq[1:]}.txt"
+    out_path = args.out or f"b{args.seq[1:]}.txt"
     _write_whole(out_path, text)
-    _warn(cfg, f"wrote {len(pairs)} lines to {out_path}")
+    _warn(args, f"wrote {len(pairs)} lines to {out_path}")
     return out_path
 
 
@@ -425,19 +379,19 @@ def _render_reports(reports, fmt: str) -> str:
     return "".join(r.to_text() for r in reports)
 
 
-def _render_triples(cfg: RunConfig, triples) -> str:
-    if cfg.output_format == "json":
+def _render_triples(args: argparse.Namespace, triples) -> str:
+    if args.format == "json":
         payload = []
         for t in triples:
             item = {"n": t.n, "a": t.a, "b": t.b, "c": t.c}
-            if cfg.with_perms:
+            if args.with_perms:
                 item["permutation"] = str(permutation_of_triple(t))
             payload.append(item)
         return json.dumps(payload, indent=2) + "\n"
     lines = []
     for t in triples:
         row = f"{t.n}\t{t.a}\t{t.b}\t{t.c}"
-        if cfg.with_perms:
+        if args.with_perms:
             row += f"\t{permutation_of_triple(t)}"
         lines.append(row)
     return "\n".join(lines) + "\n" if lines else ""
@@ -456,25 +410,25 @@ def _exit_code_for(reports) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "count":
-            sys.stdout.write(_render_table(cmd_count(cfg), cfg.output_format))
+        cap = _resolve_cap(args)
+        if args.command == "count":
+            sys.stdout.write(_render_table(cmd_count(args, cap), args.format))
             return 0
-        if cfg.command == "formula":
-            sys.stdout.write(_render_table(cmd_formula(cfg), cfg.output_format))
+        if args.command == "formula":
+            sys.stdout.write(_render_table(cmd_formula(args), args.format))
             return 0
-        if cfg.command in ("verify", "conjectures"):
-            runner = cmd_verify if cfg.command == "verify" else cmd_conjectures
-            reports = runner(cfg)
-            sys.stdout.write(_render_reports(reports, cfg.output_format))
+        if args.command in ("verify", "conjectures"):
+            runner = cmd_verify if args.command == "verify" else cmd_conjectures
+            reports = runner(args, cap)
+            sys.stdout.write(_render_reports(reports, args.format))
             return _exit_code_for(reports)
-        if cfg.command == "triples":
-            sys.stdout.write(_render_triples(cfg, cmd_triples(cfg)))
+        if args.command == "triples":
+            sys.stdout.write(_render_triples(args, cmd_triples(args)))
             return 0
-        if cfg.command == "export":
-            cmd_export(cfg)
+        if args.command == "export":
+            cmd_export(args, cap)
             return 0
-        raise AssertionError(f"unhandled command {cfg.command}")
+        raise AssertionError(f"unhandled command {args.command}")
     except UsageError as exc:
         print(f"cycperm: error: {exc}", file=sys.stderr)
         return 64

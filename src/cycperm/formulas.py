@@ -154,13 +154,6 @@ def count_132_231(n: int) -> int:
 _SMALL_123_321 = {1: 1, 2: 1, 3: 2, 4: 2}
 _SMALL_231_312 = {1: 1, 2: 1}
 
-_TRIVIAL_PAIRS = (
-    PairFormulaId.P123_321,
-    PairFormulaId.P231_312,
-    PairFormulaId.P231_321,
-    PairFormulaId.P132_321,
-)
-
 
 def count_trivial_pair(pair: PairFormulaId, n: int) -> int:
     """The four straightforward pairs.

@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour: formats, exit codes, cache, env overrides."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cycperm import cli
 from cycperm.tables import CountTable
@@ -299,6 +302,34 @@ def test_cache_lookup_key_elsewhere_in_record_is_miss(tmp_path):
     assert cli.cache_lookup(path, KEY) is None
 
 
+def test_cache_append_after_torn_last_line(tmp_path):
+    cache = tmp_path / "oracle.jsonl"
+    cache.write_text('{"key": "tru')  # a torn record without its newline
+    args = ("count", "--n", "6", "--avoid", "321", "--cache", str(cache))
+    runs = [run_cli(*args) for _ in range(3)]
+    assert [proc.returncode for proc in runs] == [0, 0, 0]
+    assert [proc.stdout for proc in runs] == ["n\t321\n6\t24\n"] * 3
+    torn, *rest = cache.read_text().splitlines()
+    assert torn == '{"key": "tru'
+    # one parseable record: runs 2 and 3 found it and appended nothing
+    assert [json.loads(line)["count"] for line in rest] == [24]
+
+
+@pytest.mark.parametrize("extra", [{"count": "x"}, {}, {"count": True}],
+                         ids=["string", "missing", "bool"])
+def test_cache_record_with_unusable_count_is_miss(tmp_path, extra):
+    cache = tmp_path / "oracle.jsonl"
+    key = cli._cache_key(5, ("123",), True)
+    cache.write_text(json.dumps({"key": key, **extra}) + "\n")
+    assert cli.cache_lookup(str(cache), key) is None
+    proc = run_cli("count", "--n", "5", "--avoid", "123", "--cache", str(cache))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "n\t123\n5\t10\n"
+    # the search ran again and appended a good record, which now wins
+    assert cli.cache_lookup(str(cache), key)["count"] == 10
+
+
 def test_cache_distinguishes_cyclic_flag(tmp_path):
     cache = tmp_path / "oracle.jsonl"
     run_cli("count", "--n", "6", "--avoid", "321", "--cache", str(cache))
@@ -348,12 +379,23 @@ def test_count_n_zero_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("name, value", [
-    ("CYCPERM_WORKERS", "x"),
-    ("CYCPERM_ORACLE_CAP", "abc"),
+_COUNT = ("count", "--n", "5", "--avoid", "123")
+_FORMULA = ("formula", "--pair", "123,231", "--n", "5")
+_TRIPLES = ("triples", "--n", "9")
+
+
+# formula and triples never run the oracle, so these cases also pin that both
+# variables are read before any subcommand runs
+@pytest.mark.parametrize("name, value, args", [
+    pytest.param("CYCPERM_WORKERS", "x", _COUNT, id="CYCPERM_WORKERS-x"),
+    pytest.param("CYCPERM_ORACLE_CAP", "abc", _COUNT, id="CYCPERM_ORACLE_CAP-abc"),
+    pytest.param("CYCPERM_WORKERS", "x", _FORMULA, id="CYCPERM_WORKERS-x-formula"),
+    pytest.param("CYCPERM_ORACLE_CAP", "abc", _FORMULA, id="CYCPERM_ORACLE_CAP-abc-formula"),
+    pytest.param("CYCPERM_WORKERS", "x", _TRIPLES, id="CYCPERM_WORKERS-x-triples"),
+    pytest.param("CYCPERM_ORACLE_CAP", "abc", _TRIPLES, id="CYCPERM_ORACLE_CAP-abc-triples"),
 ])
-def test_bad_environment_value_is_usage_error(name, value):
-    proc = run_cli("count", "--n", "5", "--avoid", "123", env_extra={name: value})
+def test_bad_environment_value_is_usage_error(name, value, args):
+    proc = run_cli(*args, env_extra={name: value})
     assert proc.returncode == 64
     assert proc.stderr.startswith("cycperm: error:")
     assert name in proc.stderr
@@ -386,3 +428,80 @@ def test_directory_as_output_path_is_usage_error(tmp_path, flag, args):
     assert str(tmp_path) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+_LABELS = st.sampled_from(["123", "231", "321", "12", "1", "4321", "1432", "1x3", "", "11", "0"])
+_PAIRS = st.sampled_from(["123,231", "123,132", "132,213", "123", "x,y", ",", ""])
+# a file, a directory and a file in a missing directory, relative to tmp_path
+_PATHS = st.sampled_from(["c.jsonl", "b.txt", "dir", "missing/x.txt"])
+_FORMATS = {"count": ["tsv", "text", "json"], "formula": ["tsv", "text", "json"],
+            "verify": ["text", "json"], "conjectures": ["text", "json"],
+            "triples": ["tsv", "json"], "export": ["bfile"]}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["count", "formula", "verify", "conjectures", "triples", "export"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, str(draw(values))])
+
+    def required(flag, values):  # left out now and then
+        if draw(st.integers(0, 9)):
+            argv.extend([flag, str(draw(values))])
+
+    if command == "count":
+        maybe("--n", st.integers(-1, 8))
+        maybe("--n-max", st.integers(-1, 8))
+        for label in draw(st.lists(_LABELS, min_size=1, max_size=2)):
+            argv.extend(["--avoid", label])
+        maybe("--cache", _PATHS)
+        if draw(st.booleans()):
+            argv.append("--all")
+    elif command == "formula":
+        required("--pair", _PAIRS)
+        maybe("--n", st.integers(-1, 8))
+        maybe("--n-max", st.integers(-1, 8))
+    elif command == "verify":
+        required("--claim", st.sampled_from(sorted(cli._DEFAULT_N_MAX) + ["bogus"]))
+        argv.extend(["--n-max", str(draw(st.integers(-1, 7)))])
+        maybe("--pair", _PAIRS)
+        maybe("--avoid", _LABELS)
+    elif command == "conjectures":
+        argv.extend(["--n-max", str(draw(st.integers(-1, 7)))])
+    elif command == "triples":
+        required("--n", st.integers(-1, 8))
+        if draw(st.booleans()):
+            argv.append("--with-perms")
+    else:
+        required("--seq", st.sampled_from(["A309563", "A309504", "A000001"]))
+        required("--n-max", st.integers(-1, 8))
+        required("--offset", st.integers(-1, 4))
+        maybe("--out", _PATHS)
+    maybe("--cap", st.sampled_from(["-1", "0", "5", "8", "x"]))
+    maybe("--format", st.sampled_from(_FORMATS[command] + ["xml"]))
+    maybe("--workers", st.sampled_from(["1", "4", "0", "x"]))
+    for flag in ("--extended", "--quiet"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_fuzzed_argv_gives_an_exit_code_not_a_traceback(tmp_path, monkeypatch, argv):
+    for name in [k for k in os.environ if k.startswith("CYCPERM_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse reports usage errors this way
+            assert exc.code in (0, 64), argv
+            return
+    assert code in (0, 1, 2, 64), argv
