@@ -23,6 +23,7 @@ from .enumeration import (
     DEFAULT_CAP,
     EnumerationRequest,
     _env_int,
+    check_cap,
     configured_cap,
     run_enumeration,
 )
@@ -30,7 +31,6 @@ from .errors import (
     BadPattern,
     BadSetting,
     CycpermError,
-    LimitExceeded,
     UnknownSequence,
     UnsupportedPair,
     UsageError,
@@ -138,12 +138,17 @@ def _require_parent_dir(flag: str, path: Optional[str]) -> None:
 def _resolve_cap(args: argparse.Namespace) -> int:
     """Raise the usage errors argparse cannot see, then resolve the oracle
     cap once, before any subcommand runs: --cap, then CYCPERM_ORACLE_CAP,
-    then the default (DEFAULT_CAP with --extended, else CLI_DEFAULT_CAP)."""
+    then the default (DEFAULT_CAP with --extended, else CLI_DEFAULT_CAP).
+    For verify the default also covers the claim's default range, since
+    formula-vs-oracle reaches n = 11 and pair-avoider search trees are tiny."""
     if args.workers is None:
         _env_int(_ENV_WORKERS)
     _require_parent_dir("--cache", getattr(args, "cache", None))
     _require_parent_dir("--out", getattr(args, "out", None))
-    return configured_cap(args.cap, default=DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP)
+    default = DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP
+    if args.command == "verify":
+        default = max(default, _DEFAULT_N_MAX[args.claim])
+    return configured_cap(args.cap, default=default)
 
 
 # --- oracle result cache -----------------------------------------------------
@@ -272,11 +277,6 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> list[harness.VerificationR
     n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[claim_key]
     if n_max > CLI_DEFAULT_CAP and claim_key != "triple-formula":
         _warn(args, f"oracle-backed verification up to n = {n_max} can take minutes")
-    # A claim's default range always runs, cap or not, unless --cap was given
-    # (formula-vs-oracle reaches n = 11, but pair-avoider search trees are
-    # tiny, so the factorial-cost rationale for the cap is moot).
-    if args.cap is None and claim_key != "triple-formula":
-        cap = max(cap, _DEFAULT_N_MAX[claim_key])
     if claim_key == "table1":
         return [harness.check_table_one(n_max, cap=cap)]
     if claim_key == "formula-vs-oracle":
@@ -309,10 +309,6 @@ def cmd_conjectures(args: argparse.Namespace, cap: int) -> list[harness.Verifica
     for lbl in harness.TABLE_ONE_COLUMNS:
         reports.append(harness.check_k_minus_one_question(parse_pattern(lbl), n_max, cap=cap))
     return reports
-
-
-def cmd_triples(args: argparse.Namespace) -> list:
-    return enumerate_good_triples(args.n)
 
 
 def _write_whole(path: str, text: str) -> None:
@@ -349,11 +345,7 @@ def cmd_export(args: argparse.Namespace, cap: int) -> str:
     if seq.kind == "formula":
         pairs = [(n, seq.formula(n)) for n in ns]
     else:
-        if args.n_max > cap:
-            raise LimitExceeded(
-                f"sequence {seq.ident} is oracle-backed; n_max={args.n_max} exceeds "
-                f"the cap {cap}"
-            )
+        check_cap(args.n_max, cap)
         pairs = [(n, _oracle_count(n, seq.pattern_labels, True, cap, None)) for n in ns]
     text = format_bfile(pairs)
     out_path = args.out or f"b{args.seq[1:]}.txt"
@@ -423,7 +415,7 @@ def main(argv=None) -> int:
             sys.stdout.write(_render_reports(reports, args.format))
             return _exit_code_for(reports)
         if args.command == "triples":
-            sys.stdout.write(_render_triples(args, cmd_triples(args)))
+            sys.stdout.write(_render_triples(args, enumerate_good_triples(args.n)))
             return 0
         if args.command == "export":
             cmd_export(args, cap)

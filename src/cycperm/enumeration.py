@@ -101,7 +101,7 @@ def list_cyclic_avoiders(
 
 def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> EnumerationResult:
     """Execute a request as stated; prefer the count_*/list_* wrappers."""
-    _check_cap(req.n, cap)
+    check_cap(req.n, cap)
     t0 = time.perf_counter()
     plans = _kernels.compile_patterns(q.entries for q in req.patterns)
     # One kernel call per choice of the first entry, in ascending order, so
@@ -120,7 +120,8 @@ def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> Enume
     )
 
 
-def _check_cap(n: int, cap: Optional[int]) -> None:
+def check_cap(n: int, cap: Optional[int] = None) -> None:
+    """Refuse an n above the oracle cap; every cap refusal reads this way."""
     limit = configured_cap(cap)
     if n > limit:
         raise LimitExceeded(

@@ -61,7 +61,3 @@ class InternalInconsistency(CycpermError, RuntimeError):
 
 class PreconditionViolated(UsageError):
     """An operation's stated hypothesis does not hold for the input."""
-
-    def __init__(self, which: str):
-        super().__init__(which)
-        self.which = which

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from .enumeration import (
     EnumerationRequest,
-    configured_cap,
+    check_cap,
     list_cyclic_avoiders,
     run_enumeration,
 )
@@ -70,12 +70,19 @@ CLAIM_KINDS = {
 
 @dataclass
 class VerificationReport:
+    """One claim's outcome per n; check functions fill it with ``record``
+    and stamp its run time with ``done``."""
+
     claim: str
-    ns: tuple[int, ...]
-    status: dict[int, bool]
+    status: dict[int, bool] = field(default_factory=dict)
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
     elapsed: float = 0.0
-    notes: tuple[str, ...] = ()
+    notes: list[str] = field(default_factory=list)
+    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False)
+
+    @property
+    def ns(self) -> tuple[int, ...]:
+        return tuple(sorted(self.status))
 
     @property
     def passed(self) -> bool:
@@ -84,6 +91,15 @@ class VerificationReport:
     @property
     def kind(self) -> str:
         return CLAIM_KINDS[self.claim]
+
+    def record(self, n: int, ok: bool, detail: str = "") -> None:
+        self.status[n] = self.status.get(n, True) and ok
+        if not ok:
+            self.counterexamples.append((n, detail))
+
+    def done(self) -> VerificationReport:
+        self.elapsed = time.perf_counter() - self._t0
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,30 +125,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-class _ReportBuilder:
-    def __init__(self, claim: str):
-        self.claim = claim
-        self.status: dict[int, bool] = {}
-        self.counterexamples: list[tuple[int, str]] = []
-        self.notes: list[str] = []
-        self._t0 = time.perf_counter()
-
-    def record(self, n: int, ok: bool, detail: str = "") -> None:
-        self.status[n] = self.status.get(n, True) and ok
-        if not ok:
-            self.counterexamples.append((n, detail))
-
-    def done(self) -> VerificationReport:
-        return VerificationReport(
-            claim=self.claim,
-            ns=tuple(sorted(self.status)),
-            status=self.status,
-            counterexamples=self.counterexamples,
-            elapsed=time.perf_counter() - self._t0,
-            notes=tuple(self.notes),
-        )
-
-
 _COUNT_CACHE: dict[tuple, int] = {}
 
 
@@ -146,12 +138,6 @@ def cyclic_count(patterns: Iterable[Pattern], n: int) -> int:
     return _COUNT_CACHE[key]
 
 
-def _require_within_cap(n_max: int, cap: Optional[int]) -> None:
-    limit = configured_cap(cap)
-    if n_max > limit:
-        raise LimitExceeded(f"n_max={n_max} exceeds the oracle cap {limit}")
-
-
 # reproduce_table_one and the check_* functions take ``workers`` for
 # compatibility only; the oracle runs on one thread.
 
@@ -160,7 +146,7 @@ def reproduce_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1)
     """Oracle counts for the six single patterns, n = 3..n_max, as a table."""
     from .tables import CountTable
 
-    _require_within_cap(n_max, cap)
+    check_cap(n_max, cap)
     table = CountTable(columns=TABLE_ONE_COLUMNS)
     for n in range(3, n_max + 1):
         for label in TABLE_ONE_COLUMNS:
@@ -174,8 +160,8 @@ def check_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1) -> 
         raise LimitExceeded(
             f"reference values are embedded only through n = {max(TABLE_ONE)}"
         )
-    _require_within_cap(n_max, cap)
-    rep = _ReportBuilder("TableOne")
+    check_cap(n_max, cap)
+    rep = VerificationReport("TableOne")
     for n in range(3, n_max + 1):
         for label, expected in zip(TABLE_ONE_COLUMNS, TABLE_ONE[n]):
             got = cyclic_count([parse_pattern(label)], n)
@@ -191,8 +177,8 @@ def check_formula_vs_oracle(
     workers: int = 1,
 ) -> VerificationReport:
     """Closed forms against the oracle for every supported pair."""
-    _require_within_cap(n_max, cap)
-    rep = _ReportBuilder("FormulaVsOracle")
+    check_cap(n_max, cap)
+    rep = VerificationReport("FormulaVsOracle")
     pair_list = list(pairs) if pairs is not None else list(PairFormulaId)
     for n in range(n_min, n_max + 1):
         for pair in pair_list:
@@ -210,7 +196,7 @@ def check_formula_vs_oracle(
 def check_triple_formula(n_max: int = 60, n_min: int = 3) -> VerificationReport:
     """Arithmetic goodness clauses against direct cycle tracing, for every
     triple with n_min <= a+b+c <= n_max."""
-    rep = _ReportBuilder("TripleFormula")
+    rep = VerificationReport("TripleFormula")
     for n in range(n_min, n_max + 1):
         for t in all_triples(n):
             by_formula = classify_triple_formula(t).good
@@ -228,8 +214,8 @@ def check_chain_conjecture(
     n_max: int, cap: Optional[int] = None, workers: int = 1
 ) -> VerificationReport:
     """The conjectured ordering among the six single-pattern counts."""
-    _require_within_cap(n_max, cap)
-    rep = _ReportBuilder("ChainConjecture")
+    check_cap(n_max, cap)
+    rep = VerificationReport("ChainConjecture")
     for n in range(3, n_max + 1):
         c = {
             label: cyclic_count([parse_pattern(label)], n)
@@ -253,8 +239,8 @@ def check_growth_bounds(
     """Conjectured bounds 2*C_n <= C_{n+1} <= 4*C_n for a single pattern."""
     if len(q) != 3:
         raise PreconditionViolated("growth bounds are stated for patterns of length 3")
-    _require_within_cap(n_max, cap)
-    rep = _ReportBuilder("GrowthBounds")
+    check_cap(n_max, cap)
+    rep = VerificationReport("GrowthBounds")
     label = pattern_label(q)
     prev = cyclic_count([q], 3)
     for n in range(3, n_max):
@@ -315,8 +301,8 @@ def check_insertion_theorem(
     failure = _insertion_hypothesis_failure(q)
     if failure is not None:
         raise PreconditionViolated(failure)
-    _require_within_cap(n_max, cap)
-    rep = _ReportBuilder("InsertionTheorem")
+    check_cap(n_max, cap)
+    rep = VerificationReport("InsertionTheorem")
     rep.notes.append(
         "checks start at n = 3; at n = 2 the next-to-last position is the "
         "front of the word, so that case is noted rather than asserted"
@@ -358,8 +344,8 @@ def check_k_minus_one_question(
         raise PreconditionViolated(
             f"the growth question is stated for patterns of length >= 3, got {k}"
         )
-    _require_within_cap(n_max, cap)
-    rep = _ReportBuilder("KMinusOneQuestion")
+    check_cap(n_max, cap)
+    rep = VerificationReport("KMinusOneQuestion")
     label = pattern_label(q)
     for n in range(k, n_max):
         c_n = cyclic_count([q], n)

@@ -95,30 +95,9 @@ def word_contains(word: Sequence[int], pat: Sequence[int]) -> bool:
     n = len(word)
     if k > n:
         return False
-    if k == 1:
-        return n >= 1
-    if k == 2:
-        asc = pat[0] < pat[1]
-        return _has_adjacent_relation(word, asc)
     if k == 3:
         return _contains_len3(word, pat)
     return _contains_backtrack(word, pat)
-
-
-def _has_adjacent_relation(word: Sequence[int], ascending: bool) -> bool:
-    # A length-2 pattern occurs iff some pair is in the right order; it
-    # suffices to compare against the running min/max.
-    best = word[0]
-    for x in word[1:]:
-        if ascending:
-            if x > best:
-                return True
-            best = x if x < best else best
-        else:
-            if x < best:
-                return True
-            best = x if x > best else best
-    return False
 
 
 def _contains_len3(word: Sequence[int], pat: Sequence[int]) -> bool:

@@ -38,10 +38,32 @@ def test_count_all_avoiders_flag():
     assert proc.stdout.splitlines()[-1] == "6\t16"
 
 
-def test_count_above_cap_is_usage_error():
-    proc = run_cli("count", "--n", "99", "--avoid", "123")
+_EXPORT_A309504 = ("export", "--seq", "A309504", "--n-max", "12", "--out", "{out}")
+
+
+# every command refuses an n above the cap with the same text; the empty
+# export range (offset 13) pins that the refusal comes before any search
+@pytest.mark.parametrize("args", [
+    pytest.param(("count", "--n", "99", "--avoid", "123"), id="count"),
+    pytest.param(("verify", "--claim", "chain", "--n-max", "12"), id="verify"),
+    pytest.param(_EXPORT_A309504 + ("--offset", "3"), id="export"),
+    pytest.param(_EXPORT_A309504 + ("--offset", "13"), id="export-empty-range"),
+])
+def test_count_above_cap_is_usage_error(tmp_path, args):
+    out = str(tmp_path / "b309504.txt")
+    proc = run_cli(*(a.replace("{out}", out) for a in args))
     assert proc.returncode == 64
-    assert "cap" in proc.stderr
+    assert "exceeds the oracle cap" in proc.stderr
+    assert "raise it with" in proc.stderr
+
+
+def test_env_cap_binds_verify():
+    args = ("verify", "--claim", "chain", "--n-max", "8")
+    proc = run_cli(*args, env_extra={"CYCPERM_ORACLE_CAP": "5"})
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("cycperm: error:")
+    flag_wins = run_cli(*args, "--cap", "8", env_extra={"CYCPERM_ORACLE_CAP": "5"})
+    assert flag_wins.returncode == 0, flag_wins.stderr
 
 
 def test_count_range_json_round_trips():
@@ -492,10 +514,12 @@ def _argv(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=_argv())
-def test_fuzzed_argv_gives_an_exit_code_not_a_traceback(tmp_path, monkeypatch, argv):
+@given(argv=_argv(), env_cap=st.sampled_from([None, "5", "12", "abc"]))
+def test_fuzzed_argv_gives_an_exit_code_not_a_traceback(tmp_path, monkeypatch, argv, env_cap):
     for name in [k for k in os.environ if k.startswith("CYCPERM_")]:
         monkeypatch.delenv(name)
+    if env_cap is not None:
+        monkeypatch.setenv("CYCPERM_ORACLE_CAP", env_cap)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir(exist_ok=True)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
