@@ -35,9 +35,9 @@ from .errors import (
     UnsupportedPair,
     UsageError,
 )
-from .formulas import OEIS_SEQUENCES, format_bfile, pair_count, pair_id_from_labels
+from .formulas import OEIS_SEQUENCES, PairFormulaId, format_bfile, pair_count, pair_id_from_labels
 from .layered import enumerate_good_triples, permutation_of_triple
-from .patterns import parse_pattern, parse_pattern_set, pattern_set_label
+from .patterns import Pattern, parse_pattern, parse_pattern_set, pattern_label, pattern_set_label
 from .tables import CountTable
 
 #: Without --extended the oracle stays in the fast range; --extended
@@ -85,6 +85,7 @@ def build_parser() -> _Parser:
         p.add_argument("--quiet", action="store_true", help="suppress warnings on stderr")
 
     p = sub.add_parser("count", help="brute-force avoider counts")
+    p.set_defaults(run=cmd_count)
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--avoid", action="append", required=True, metavar="PATTERN")
@@ -93,12 +94,14 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("formula", help="closed-form pair counts")
+    p.set_defaults(run=cmd_formula)
     p.add_argument("--pair", required=True, metavar="Q1,Q2")
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int)
     common(p)
 
     p = sub.add_parser("verify", help="check one claim over a range")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--claim", required=True, choices=sorted(_DEFAULT_N_MAX))
     p.add_argument("--n-max", type=int)
     p.add_argument("--pair", metavar="Q1,Q2", help="restrict formula-vs-oracle to one pair")
@@ -107,15 +110,18 @@ def build_parser() -> _Parser:
     common(p, formats=("text", "json"))
 
     p = sub.add_parser("conjectures", help="verify every open-problem claim")
+    p.set_defaults(run=cmd_conjectures)
     p.add_argument("--n-max", type=int, default=10)
     common(p, formats=("text", "json"))
 
     p = sub.add_parser("triples", help="good layer triples for one n")
+    p.set_defaults(run=cmd_triples)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-perms", action="store_true", help="attach the layered permutation")
     common(p, formats=("tsv", "json"))
 
     p = sub.add_parser("export", help="write an OEIS b-file")
+    p.set_defaults(run=cmd_export)
     p.add_argument("--seq", required=True, metavar="AXXXXXX")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--offset", type=int, required=True, help="first index to emit")
@@ -199,18 +205,15 @@ def cache_append(path: str, record: dict) -> None:
 
 
 def _oracle_count(
-    n: int, labels: tuple[str, ...], cyclic: bool, cap: int, cache_path: Optional[str]
+    n: int, patterns: tuple[Pattern, ...], cyclic: bool, cap: int, cache_path: Optional[str]
 ) -> int:
+    labels = tuple(pattern_label(q) for q in patterns)
     key = _cache_key(n, labels, cyclic)
     if cache_path:
         hit = cache_lookup(cache_path, key)
         if hit is not None:
             return hit["count"]
-    req = EnumerationRequest(
-        n=n,
-        patterns=tuple(parse_pattern(lbl) for lbl in labels),
-        cyclic_only=cyclic,
-    )
+    req = EnumerationRequest(n=n, patterns=patterns, cyclic_only=cyclic)
     result = run_enumeration(req, cap=cap)
     if cache_path:
         cache_append(
@@ -227,7 +230,30 @@ def _oracle_count(
     return result.count
 
 
-# --- subcommands -------------------------------------------------------------
+# --- subcommands: each prints its output and returns its exit code -----------
+
+
+def _print_table(table: CountTable, fmt: str) -> int:
+    if fmt == "json":
+        sys.stdout.write(table.to_json() + "\n")
+    elif fmt == "text":
+        sys.stdout.write(table.to_text())
+    else:
+        sys.stdout.write(table.to_tsv())
+    return 0
+
+
+def _print_reports(reports: list[harness.VerificationReport], fmt: str) -> int:
+    """Print the reports. The exit code is 1 if a theorem failed, else 2 if
+    conjecture evidence failed, else 0."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
+    else:
+        sys.stdout.write("".join(r.to_text() for r in reports))
+    failed = {r.kind for r in reports if not r.passed}
+    if "theorem" in failed:
+        return 1
+    return 2 if "evidence" in failed else 0
 
 
 def _n_range(args: argparse.Namespace) -> list[int]:
@@ -240,75 +266,87 @@ def _n_range(args: argparse.Namespace) -> list[int]:
     raise BadPattern("one of --n / --n-max is required")
 
 
-def cmd_count(args: argparse.Namespace, cap: int) -> CountTable:
+def _pair(text: Optional[str]) -> PairFormulaId:
+    first, _, second = (text or "").partition(",")
+    if not second:
+        raise UnsupportedPair(f"--pair wants the form Q1,Q2, got {text!r}")
+    return pair_id_from_labels(first, second)
+
+
+def cmd_count(args: argparse.Namespace, cap: int) -> int:
     qs = parse_pattern_set(args.avoid)
     label = pattern_set_label(qs)
-    labels = tuple(label.split(","))
     ns = _n_range(args)
+    if ns:  # refuse the whole range before any cache lookup or search
+        check_cap(max(ns), cap)
     if any(n > CLI_DEFAULT_CAP for n in ns):
         _warn(args, f"oracle runs above n = {CLI_DEFAULT_CAP} can take minutes (cap {cap})")
     table = CountTable(columns=(label,))
     for n in ns:
-        table.set(n, label, _oracle_count(n, labels, not args.all, cap, args.cache), "oracle")
-    return table
+        table.set(n, label, _oracle_count(n, qs, not args.all, cap, args.cache), "oracle")
+    return _print_table(table, args.format)
 
 
-def cmd_formula(args: argparse.Namespace) -> CountTable:
-    first, _, second = (args.pair or "").partition(",")
-    if not second:
-        raise UnsupportedPair(f"--pair wants the form Q1,Q2, got {args.pair!r}")
-    pair = pair_id_from_labels(first, second)
+def cmd_formula(args: argparse.Namespace, cap: int) -> int:
+    pair = _pair(args.pair)
     table = CountTable(columns=(pair.value,))
     for n in _n_range(args):
         table.set(n, pair.value, pair_count(pair, n), "formula")
-    return table
+    return _print_table(table, args.format)
 
 
-def _claim_patterns(args: argparse.Namespace, claim_key: str) -> list:
-    if args.avoid:
-        return [parse_pattern(a) for a in args.avoid]
-    if claim_key == "insertion":
-        return [parse_pattern(lbl) for lbl in harness.INSERTION_PATTERNS]
-    return [parse_pattern(lbl) for lbl in harness.TABLE_ONE_COLUMNS]
-
-
-def cmd_verify(args: argparse.Namespace, cap: int) -> list[harness.VerificationReport]:
-    claim_key = args.claim
-    n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[claim_key]
-    if n_max > CLI_DEFAULT_CAP and claim_key != "triple-formula":
-        _warn(args, f"oracle-backed verification up to n = {n_max} can take minutes")
-    if claim_key == "table1":
+def _run_claim(
+    claim: str, n_max: int, cap: int, pair: Optional[str] = None, avoid: Optional[list] = None
+) -> list[harness.VerificationReport]:
+    """One claim over n <= n_max. ``pair`` restricts formula-vs-oracle to one
+    pair; ``avoid`` replaces the default patterns of the per-pattern claims."""
+    if claim == "table1":
         return [harness.check_table_one(n_max, cap=cap)]
-    if claim_key == "formula-vs-oracle":
-        pairs = None
-        if args.pair:
-            first, _, second = args.pair.partition(",")
-            pairs = [pair_id_from_labels(first, second)]
+    if claim == "formula-vs-oracle":
+        pairs = [_pair(pair)] if pair else None
         return [harness.check_formula_vs_oracle(pairs, n_max, cap=cap)]
-    if claim_key == "triple-formula":
+    if claim == "triple-formula":
         return [harness.check_triple_formula(n_max)]
-    if claim_key == "chain":
+    if claim == "chain":
         return [harness.check_chain_conjecture(n_max, cap=cap)]
     check = {
         "growth": harness.check_growth_bounds,
         "insertion": harness.check_insertion_theorem,
         "k-minus-one": harness.check_k_minus_one_question,
-    }[claim_key]
-    return [check(q, n_max, cap=cap) for q in _claim_patterns(args, claim_key)]
+    }[claim]
+    default = harness.INSERTION_PATTERNS if claim == "insertion" else harness.TABLE_ONE_COLUMNS
+    qs = [parse_pattern(a) for a in avoid or default]
+    return [check(q, n_max, cap=cap) for q in qs]
 
 
-def cmd_conjectures(args: argparse.Namespace, cap: int) -> list[harness.VerificationReport]:
+def cmd_verify(args: argparse.Namespace, cap: int) -> int:
+    n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[args.claim]
+    if n_max > CLI_DEFAULT_CAP and args.claim != "triple-formula":
+        _warn(args, f"oracle-backed verification up to n = {n_max} can take minutes")
+    return _print_reports(_run_claim(args.claim, n_max, cap, args.pair, args.avoid), args.format)
+
+
+def cmd_conjectures(args: argparse.Namespace, cap: int) -> int:
     n_max = args.n_max
-    reports = [harness.check_chain_conjecture(n_max, cap=cap)]
-    for lbl in harness.TABLE_ONE_COLUMNS:
-        reports.append(harness.check_growth_bounds(parse_pattern(lbl), n_max, cap=cap))
-    for lbl in harness.INSERTION_PATTERNS:
-        reports.append(
-            harness.check_insertion_theorem(parse_pattern(lbl), min(n_max, 9), cap=cap)
-        )
-    for lbl in harness.TABLE_ONE_COLUMNS:
-        reports.append(harness.check_k_minus_one_question(parse_pattern(lbl), n_max, cap=cap))
-    return reports
+    reports = _run_claim("chain", n_max, cap)
+    reports += _run_claim("growth", n_max, cap)
+    reports += _run_claim("insertion", min(n_max, 9), cap)
+    reports += _run_claim("k-minus-one", n_max, cap)
+    return _print_reports(reports, args.format)
+
+
+def cmd_triples(args: argparse.Namespace, cap: int) -> int:
+    rows = []
+    for t in enumerate_good_triples(args.n):
+        row = {"n": t.n, "a": t.a, "b": t.b, "c": t.c}
+        if args.with_perms:
+            row["permutation"] = str(permutation_of_triple(t))
+        rows.append(row)
+    if args.format == "json":
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+    else:  # tsv
+        sys.stdout.write("".join("\t".join(map(str, row.values())) + "\n" for row in rows))
+    return 0
 
 
 def _write_whole(path: str, text: str) -> None:
@@ -336,7 +374,7 @@ def _write_whole(path: str, text: str) -> None:
         raise
 
 
-def cmd_export(args: argparse.Namespace, cap: int) -> str:
+def cmd_export(args: argparse.Namespace, cap: int) -> int:
     seq = OEIS_SEQUENCES.get(args.seq)
     if seq is None:
         known = ", ".join(sorted(OEIS_SEQUENCES))
@@ -346,87 +384,33 @@ def cmd_export(args: argparse.Namespace, cap: int) -> str:
         pairs = [(n, seq.formula(n)) for n in ns]
     else:
         check_cap(args.n_max, cap)
-        pairs = [(n, _oracle_count(n, seq.pattern_labels, True, cap, None)) for n in ns]
+        qs = tuple(parse_pattern(lbl) for lbl in seq.pattern_labels)
+        pairs = [(n, _oracle_count(n, qs, True, cap, None)) for n in ns]
     text = format_bfile(pairs)
     out_path = args.out or f"b{args.seq[1:]}.txt"
     _write_whole(out_path, text)
     _warn(args, f"wrote {len(pairs)} lines to {out_path}")
-    return out_path
-
-
-# --- rendering and dispatch --------------------------------------------------
-
-
-def _render_table(table: CountTable, fmt: str) -> str:
-    if fmt == "json":
-        return table.to_json() + "\n"
-    if fmt == "text":
-        return table.to_text()
-    return table.to_tsv()
-
-
-def _render_reports(reports, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    return "".join(r.to_text() for r in reports)
-
-
-def _render_triples(args: argparse.Namespace, triples) -> str:
-    if args.format == "json":
-        payload = []
-        for t in triples:
-            item = {"n": t.n, "a": t.a, "b": t.b, "c": t.c}
-            if args.with_perms:
-                item["permutation"] = str(permutation_of_triple(t))
-            payload.append(item)
-        return json.dumps(payload, indent=2) + "\n"
-    lines = []
-    for t in triples:
-        row = f"{t.n}\t{t.a}\t{t.b}\t{t.c}"
-        if args.with_perms:
-            row += f"\t{permutation_of_triple(t)}"
-        lines.append(row)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def _exit_code_for(reports) -> int:
-    theorem_fail = any(r.kind == "theorem" and not r.passed for r in reports)
-    evidence_fail = any(r.kind == "evidence" and not r.passed for r in reports)
-    if theorem_fail:
-        return 1
-    if evidence_fail:
-        return 2
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact counts can pass the int-to-str digit limit of Python >= 3.10.7;
+    # lift it for this call and put it back, since main may run in process.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        cap = _resolve_cap(args)
-        if args.command == "count":
-            sys.stdout.write(_render_table(cmd_count(args, cap), args.format))
-            return 0
-        if args.command == "formula":
-            sys.stdout.write(_render_table(cmd_formula(args), args.format))
-            return 0
-        if args.command in ("verify", "conjectures"):
-            runner = cmd_verify if args.command == "verify" else cmd_conjectures
-            reports = runner(args, cap)
-            sys.stdout.write(_render_reports(reports, args.format))
-            return _exit_code_for(reports)
-        if args.command == "triples":
-            sys.stdout.write(_render_triples(args, enumerate_good_triples(args.n)))
-            return 0
-        if args.command == "export":
-            cmd_export(args, cap)
-            return 0
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args, _resolve_cap(args))
     except UsageError as exc:
         print(f"cycperm: error: {exc}", file=sys.stderr)
         return 64
     except CycpermError as exc:
         print(f"cycperm: internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -166,5 +166,7 @@ def _contains_backtrack(word: Sequence[int], pat: Sequence[int]) -> bool:
                 chosen.pop()
         return False
 
-    return extend(0)
+    found = extend(0)
+    del extend  # it reaches itself through its cell; freed now, not by the cyclic collector
+    return found
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: formats, exit codes, cache, env overrides."""
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -57,6 +58,25 @@ def test_count_above_cap_is_usage_error(tmp_path, args):
     assert "raise it with" in proc.stderr
 
 
+def test_cached_count_above_cap_is_refused(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    key = cli._cache_key(11, ("231",), True)
+    cli.cache_append(str(cache), {"key": key, "n": 11, "patterns": ["231"],
+                                  "cyclic": True, "count": 2274})
+    proc = run_cli("count", "--n", "11", "--avoid", "231", "--cache", str(cache))
+    assert proc.returncode == 64
+    assert "exceeds the oracle cap" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_count_refuses_whole_range_before_searching(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    proc = run_cli("count", "--n", "8", "--n-max", "11", "--avoid", "231", "--cache", str(cache))
+    assert proc.returncode == 64
+    assert "exceeds the oracle cap" in proc.stderr
+    assert not cache.exists()  # n = 8..10 were not searched and cached first
+
+
 def test_env_cap_binds_verify():
     args = ("verify", "--claim", "chain", "--n-max", "8")
     proc = run_cli(*args, env_extra={"CYCPERM_ORACLE_CAP": "5"})
@@ -80,6 +100,25 @@ def test_formula_command():
     assert proc.stdout.splitlines()[1] == "26\t18"
     proc = run_cli("formula", "--pair", "123,132", "--n", "9")
     assert proc.stdout.splitlines()[1] == "9\t16"
+
+
+def test_formula_prints_large_counts(capsys):
+    # both counts pass Python's default 4,300-digit int-to-str limit; Decimal
+    # checks them without that limit, and main puts the limit back on return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10_000  # exact for both
+        two = decimal.Decimal(2)
+        want_123_132 = str(two ** 14999)
+        # odd divisors of 20000: 1, 5, and 25, 125, 625 where mu is 0
+        want_132_231 = (two ** 20000 - two ** 4000) / 40000
+    assert len(want_123_132) == 4516
+    assert cli.main(["formula", "--pair", "123,132", "--n", "30000"]) == 0
+    assert capsys.readouterr().out == f"n\t123,132\n30000\t{want_123_132}\n"
+    assert cli.main(["formula", "--pair", "132,231", "--n", "20000", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+    assert payload["rows"][0]["cells"]["132,231"]["count"] == want_132_231
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_formula_unsupported_pair():
@@ -485,7 +524,7 @@ def _argv(draw):
             argv.append("--all")
     elif command == "formula":
         required("--pair", _PAIRS)
-        maybe("--n", st.integers(-1, 8))
+        maybe("--n", st.integers(-1, 8) | st.just(30000))
         maybe("--n-max", st.integers(-1, 8))
     elif command == "verify":
         required("--claim", st.sampled_from(sorted(cli._DEFAULT_N_MAX) + ["bogus"]))
