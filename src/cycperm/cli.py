@@ -8,37 +8,28 @@ export (OEIS b-files). Exit codes are a stable contract for CI:
     1   theorem/golden mismatch or internal error
     2   conjecture-evidence failure (a finding, not a build failure)
     64  usage error (bad flags, unparseable pattern, above the cap, ...)
+
+Each handler imports the modules it runs, so a command loads only those;
+annotations that name their classes are never evaluated.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
-from typing import Optional
 
-from . import harness
-from .enumeration import (
-    DEFAULT_CAP,
-    EnumerationRequest,
-    _env_int,
-    check_cap,
-    configured_cap,
-    run_enumeration,
-)
 from .errors import (
+    DEFAULT_CAP,
     BadPattern,
     BadSetting,
     CycpermError,
     UnknownSequence,
     UnsupportedPair,
     UsageError,
+    _env_int,
+    check_cap,
+    configured_cap,
 )
-from .formulas import OEIS_SEQUENCES, PairFormulaId, format_bfile, pair_count, pair_id_from_labels
-from .layered import enumerate_good_triples, permutation_of_triple
-from .patterns import Pattern, parse_pattern, parse_pattern_set, pattern_label, pattern_set_label
-from .tables import CountTable
 
 #: Without --extended the oracle stays in the fast range; --extended
 #: unlocks n = 11..DEFAULT_CAP (and prints a runtime warning). An explicit
@@ -130,7 +121,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require_parent_dir(flag: str, path: Optional[str]) -> None:
+def _require_parent_dir(flag: str, path: str | None) -> None:
     """An output path must name a file in an existing directory."""
     if not path:
         return
@@ -163,15 +154,20 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 # a non-negative integer, is simply treated as a miss.
 
 
-def _cache_key(n: int, labels: tuple[str, ...], cyclic: bool) -> str:
-    blob = json.dumps({"n": n, "patterns": list(labels), "cyclic": cyclic}, sort_keys=True)
+def _cache_key(n: int, labels: list[str], cyclic: bool) -> str:
+    import hashlib
+    import json
+
+    blob = json.dumps({"n": n, "patterns": labels, "cyclic": cyclic}, sort_keys=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-def cache_lookup(path: str, key: str) -> Optional[dict]:
+def cache_lookup(path: str, key: str) -> dict | None:
     """The last valid record for ``key``, or None. Lines are streamed as
     bytes and only those that contain the key are parsed. A record is valid
     when its ``"count"`` is a non-negative integer (``true`` is not)."""
+    import json
+
     needle = key.encode("ascii")
     hit = None
     try:
@@ -195,6 +191,8 @@ def cache_lookup(path: str, key: str) -> Optional[dict]:
 def cache_append(path: str, record: dict) -> None:
     """Append ``record`` as one line. After a torn last line that lacks its
     newline the record starts on a new line, so it is not glued onto it."""
+    import json
+
     line = json.dumps(record, sort_keys=True).encode("ascii") + b"\n"
     with open(path, "ab+") as fh:
         if fh.seek(0, os.SEEK_END):
@@ -205,11 +203,14 @@ def cache_append(path: str, record: dict) -> None:
 
 
 def _oracle_count(
-    n: int, patterns: tuple[Pattern, ...], cyclic: bool, cap: int, cache_path: Optional[str]
+    n: int, patterns: tuple[Pattern, ...], cyclic: bool, cap: int, cache_path: str | None
 ) -> int:
-    labels = tuple(pattern_label(q) for q in patterns)
-    key = _cache_key(n, labels, cyclic)
-    if cache_path:
+    from .enumeration import EnumerationRequest, run_enumeration
+    from .patterns import pattern_label
+
+    if cache_path:  # only a cache needs the key
+        labels = [pattern_label(q) for q in patterns]
+        key = _cache_key(n, labels, cyclic)
         hit = cache_lookup(cache_path, key)
         if hit is not None:
             return hit["count"]
@@ -221,7 +222,7 @@ def _oracle_count(
             {
                 "key": key,
                 "n": n,
-                "patterns": list(labels),
+                "patterns": labels,
                 "cyclic": cyclic,
                 "count": result.count,
                 "nodes": result.nodes_visited,
@@ -243,10 +244,12 @@ def _print_table(table: CountTable, fmt: str) -> int:
     return 0
 
 
-def _print_reports(reports: list[harness.VerificationReport], fmt: str) -> int:
+def _print_reports(reports: list[VerificationReport], fmt: str) -> int:
     """Print the reports. The exit code is 1 if a theorem failed, else 2 if
     conjecture evidence failed, else 0."""
     if fmt == "json":
+        import json
+
         sys.stdout.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     else:
         sys.stdout.write("".join(r.to_text() for r in reports))
@@ -266,7 +269,9 @@ def _n_range(args: argparse.Namespace) -> list[int]:
     raise BadPattern("one of --n / --n-max is required")
 
 
-def _pair(text: Optional[str]) -> PairFormulaId:
+def _pair(text: str | None) -> PairFormulaId:
+    from .formulas import pair_id_from_labels
+
     first, _, second = (text or "").partition(",")
     if not second:
         raise UnsupportedPair(f"--pair wants the form Q1,Q2, got {text!r}")
@@ -274,6 +279,9 @@ def _pair(text: Optional[str]) -> PairFormulaId:
 
 
 def cmd_count(args: argparse.Namespace, cap: int) -> int:
+    from .patterns import parse_pattern_set, pattern_set_label
+    from .tables import CountTable
+
     qs = parse_pattern_set(args.avoid)
     label = pattern_set_label(qs)
     ns = _n_range(args)
@@ -288,6 +296,9 @@ def cmd_count(args: argparse.Namespace, cap: int) -> int:
 
 
 def cmd_formula(args: argparse.Namespace, cap: int) -> int:
+    from .formulas import pair_count
+    from .tables import CountTable
+
     pair = _pair(args.pair)
     table = CountTable(columns=(pair.value,))
     for n in _n_range(args):
@@ -296,10 +307,13 @@ def cmd_formula(args: argparse.Namespace, cap: int) -> int:
 
 
 def _run_claim(
-    claim: str, n_max: int, cap: int, pair: Optional[str] = None, avoid: Optional[list] = None
-) -> list[harness.VerificationReport]:
+    claim: str, n_max: int, cap: int, pair: str | None = None, avoid: list | None = None
+) -> list[VerificationReport]:
     """One claim over n <= n_max. ``pair`` restricts formula-vs-oracle to one
     pair; ``avoid`` replaces the default patterns of the per-pattern claims."""
+    from . import harness
+    from .patterns import parse_pattern
+
     if claim == "table1":
         return [harness.check_table_one(n_max, cap=cap)]
     if claim == "formula-vs-oracle":
@@ -336,6 +350,8 @@ def cmd_conjectures(args: argparse.Namespace, cap: int) -> int:
 
 
 def cmd_triples(args: argparse.Namespace, cap: int) -> int:
+    from .layered import enumerate_good_triples, permutation_of_triple
+
     rows = []
     for t in enumerate_good_triples(args.n):
         row = {"n": t.n, "a": t.a, "b": t.b, "c": t.c}
@@ -343,6 +359,8 @@ def cmd_triples(args: argparse.Namespace, cap: int) -> int:
             row["permutation"] = str(permutation_of_triple(t))
         rows.append(row)
     if args.format == "json":
+        import json
+
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
     else:  # tsv
         sys.stdout.write("".join("\t".join(map(str, row.values())) + "\n" for row in rows))
@@ -375,6 +393,8 @@ def _write_whole(path: str, text: str) -> None:
 
 
 def cmd_export(args: argparse.Namespace, cap: int) -> int:
+    from .formulas import OEIS_SEQUENCES, format_bfile
+
     seq = OEIS_SEQUENCES.get(args.seq)
     if seq is None:
         known = ", ".join(sorted(OEIS_SEQUENCES))
@@ -383,6 +403,8 @@ def cmd_export(args: argparse.Namespace, cap: int) -> int:
     if seq.kind == "formula":
         pairs = [(n, seq.formula(n)) for n in ns]
     else:
+        from .patterns import parse_pattern
+
         check_cap(args.n_max, cap)
         qs = tuple(parse_pattern(lbl) for lbl in seq.pattern_labels)
         pairs = [(n, _oracle_count(n, qs, True, cap, None)) for n in ns]

@@ -10,40 +10,14 @@ this package so the two can be checked against each other.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import _kernels
-from .errors import BadSetting, EmptyInput, LimitExceeded, TooSmall
+from .errors import EmptyInput, TooSmall, check_cap
 from .patterns import Pattern, canonical_patterns
 from .perm import Permutation
-
-#: Largest n the oracle accepts unless overridden (config, not a constant:
-#: raise via the cap argument, CYCPERM_ORACLE_CAP, or the CLI --cap flag).
-DEFAULT_CAP = 13
-
-_ENV_CAP = "CYCPERM_ORACLE_CAP"
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadSetting(f"{name} must be an integer, got {raw!r}") from None
-
-
-def configured_cap(explicit: Optional[int] = None, default: int = DEFAULT_CAP) -> int:
-    """The oracle cap: explicit value, then CYCPERM_ORACLE_CAP, then default."""
-    if explicit is not None:
-        return explicit
-    env = _env_int(_ENV_CAP)
-    return default if env is None else env
-
 
 @dataclass(frozen=True)
 class EnumerationRequest:
@@ -118,13 +92,3 @@ def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> Enume
         nodes_visited=nodes,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def check_cap(n: int, cap: Optional[int] = None) -> None:
-    """Refuse an n above the oracle cap; every cap refusal reads this way."""
-    limit = configured_cap(cap)
-    if n > limit:
-        raise LimitExceeded(
-            f"n={n} exceeds the oracle cap {limit}; raise it with --cap/{_ENV_CAP} "
-            "or --extended if you accept the runtime"
-        )

@@ -1,10 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the oracle-cap rule.
 
 Every error caused by bad input derives from UsageError, a ValueError, so
 callers can either catch the specific condition or treat everything as a
 bad-input error; the CLI maps UsageError to exit 64 and any other
-CycpermError to exit 1.
+CycpermError to exit 1. The cap rule lives here, beside the errors it
+raises, because every CLI subcommand resolves the cap and this module
+imports nothing heavy.
 """
+from __future__ import annotations
+
+import os
 
 
 class CycpermError(Exception):
@@ -61,3 +66,38 @@ class InternalInconsistency(CycpermError, RuntimeError):
 
 class PreconditionViolated(UsageError):
     """An operation's stated hypothesis does not hold for the input."""
+
+
+#: Largest n the oracle accepts unless overridden (config, not a constant:
+#: raise via the cap argument, CYCPERM_ORACLE_CAP, or the CLI --cap flag).
+DEFAULT_CAP = 13
+
+_ENV_CAP = "CYCPERM_ORACLE_CAP"
+
+
+def _env_int(name: str) -> int | None:
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadSetting(f"{name} must be an integer, got {raw!r}") from None
+
+
+def configured_cap(explicit: int | None = None, default: int = DEFAULT_CAP) -> int:
+    """The oracle cap: explicit value, then CYCPERM_ORACLE_CAP, then default."""
+    if explicit is not None:
+        return explicit
+    env = _env_int(_ENV_CAP)
+    return default if env is None else env
+
+
+def check_cap(n: int, cap: int | None = None) -> None:
+    """Refuse an n above the oracle cap; every cap refusal reads this way."""
+    limit = configured_cap(cap)
+    if n > limit:
+        raise LimitExceeded(
+            f"n={n} exceeds the oracle cap {limit}; raise it with --cap/{_ENV_CAP} "
+            "or --extended if you accept the runtime"
+        )

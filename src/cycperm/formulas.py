@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -197,6 +196,8 @@ def upper_bound_123_231(n: int) -> Fraction:
     """
     if n < 4:
         raise TooSmall(f"the (3n-6)/4 bound is stated for n >= 4, got {n}")
+    from fractions import Fraction
+
     return Fraction(3 * n - 6, 4)
 
 

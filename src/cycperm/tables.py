@@ -6,7 +6,6 @@ an equal table; TSV matches how the reference tables read.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PROVENANCES = ("oracle", "formula", "golden")
@@ -39,6 +38,8 @@ class CountTable:
         return self.rows[n][column]
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "columns": list(self.columns),
             "rows": [
@@ -56,6 +57,8 @@ class CountTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CountTable":
+        import json
+
         payload = json.loads(text)
         table = cls(columns=tuple(payload["columns"]))
         for row in payload["rows"]:

@@ -27,6 +27,40 @@ def run_cli(*args, env_extra=None, cwd=None):
     )
 
 
+# Each subcommand imports only what it runs. The child reports the modules
+# that running the command added, so what the interpreter loads at start-up
+# on a given machine does not count.
+_MODULES_ADDED = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["cycperm", *sys.argv[1:]]
+try:
+    runpy.run_module("cycperm", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, *sorted(set(sys.modules) - before))
+"""
+_NOT_FOR_CLOSED_FORMS = ("cycperm.enumeration", "cycperm._kernels", "cycperm.harness",
+                         "cycperm.layered", "hashlib", "fractions")
+
+
+@pytest.mark.parametrize("args, runs, absent", [
+    (("formula", "--pair", "123,231", "--n", "5"), "cycperm.formulas", _NOT_FOR_CLOSED_FORMS),
+    (("export", "--seq", "A309563", "--n-max", "9", "--offset", "1", "--out", "{out}"),
+     "cycperm.formulas", _NOT_FOR_CLOSED_FORMS),
+    (("count", "--n", "6", "--avoid", "123"), "cycperm.enumeration",
+     ("cycperm.harness", "cycperm.formulas", "cycperm.layered", "hashlib")),
+], ids=["formula", "export", "count"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, args, runs, absent):
+    argv = [a.replace("{out}", str(tmp_path / "b.txt")) for a in args]
+    proc = subprocess.run([sys.executable, "-c", _MODULES_ADDED, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *added = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    assert runs in added
+    assert sorted(set(absent) & set(added)) == []
+
+
 def test_count_single_cell():
     proc = run_cli("count", "--n", "8", "--avoid", "123")
     assert proc.returncode == 0, proc.stderr

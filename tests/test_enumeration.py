@@ -180,8 +180,9 @@ def test_search_matches_full_enumeration(pats, n):
 
 
 def test_import_leaves_numpy_out():
-    code = ("import sys, cycperm; "
-            "print([m for m in ('numpy', 'concurrent.futures') if m in sys.modules])")
+    # ... and every cycperm submodule: the package resolves its names lazily.
+    code = ("import sys, cycperm; print([m for m in sys.modules if m.startswith('cycperm.')"
+            " or m in ('numpy', 'concurrent.futures')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,8 +1,10 @@
 """Conjecture checks, the insertion construction, and table reproduction."""
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from cycperm import harness
 from cycperm.errors import LimitExceeded, PreconditionViolated
 from cycperm.formulas import PairFormulaId
 from cycperm.harness import (
@@ -64,6 +66,21 @@ def test_formula_vs_oracle_all_pairs():
 def test_triple_formula_claim():
     rep = check_triple_formula(n_max=40)
     assert rep.passed and rep.kind == "theorem"
+
+
+def test_triple_formula_counterexample_text(monkeypatch):
+    # (2, 1, 2) is good; a formula that says otherwise fails n = 5 alone.
+    real = harness.classify_triple_formula
+
+    def wrong_once(t):
+        good = real(t).good
+        return SimpleNamespace(good=not good if (t.a, t.b, t.c) == (2, 1, 2) else good)
+
+    monkeypatch.setattr(harness, "classify_triple_formula", wrong_once)
+    rep = check_triple_formula(n_max=6)
+    assert rep.status == {3: True, 4: True, 5: False, 6: True}
+    assert rep.counterexamples == [
+        (5, "triple (2, 1, 2): formula says False, cycle trace says True")]
 
 
 def test_insertion_construction_examples():

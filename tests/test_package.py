@@ -1,0 +1,50 @@
+"""The package's public names: resolved on first use, each one the object
+its submodule defines."""
+import importlib
+
+import pytest
+
+import cycperm
+
+#: The names ``cycperm`` exports, by the submodule that defines them.
+EXPORTS = {
+    "enumeration": ("EnumerationRequest", "EnumerationResult", "count_avoiders",
+                    "count_cyclic_avoiders", "list_cyclic_avoiders"),
+    "formulas": ("PairFormulaId", "count_123_132", "count_123_231", "count_132_231",
+                 "count_trivial_pair", "mobius", "pair_count", "totient",
+                 "upper_bound_123_231"),
+    "harness": ("TABLE_ONE", "VerificationReport", "check_chain_conjecture",
+                "check_growth_bounds", "check_insertion_theorem",
+                "check_k_minus_one_question", "insertion_construction",
+                "reproduce_table_one"),
+    "layered": ("Triple", "TripleClassification", "TripleReason", "classify_triple_formula",
+                "enumerate_good_triples", "inversion_count_formula", "is_good_triple_direct",
+                "permutation_of_triple", "triple_of_permutation"),
+    "patterns": ("Pattern", "avoids_all", "contains", "parse_pattern"),
+    "perm": ("Permutation", "compose", "cycle_type", "inverse", "inversion_count",
+             "is_cyclic", "is_involution", "make_permutation", "parse_permutation",
+             "reverse_complement"),
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_all_names_exactly_the_exports():
+    assert sorted(cycperm.__all__) == sorted(name for _, name in NAMES)
+    assert cycperm.__version__ == "0.1.0"
+
+
+def test_every_export_is_its_submodules_object():
+    star = {}
+    exec("from cycperm import *", star)
+    listed = dir(cycperm)
+    for module, name in NAMES:
+        defined = getattr(importlib.import_module(f"cycperm.{module}"), name)
+        assert getattr(cycperm, name) is defined, name
+        assert star[name] is defined, name
+        assert name in listed, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cycperm.no_such_name
+    assert not hasattr(cycperm, "count_cyclic")
