@@ -162,30 +162,43 @@ def _cache_key(n: int, labels: list[str], cyclic: bool) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+#: A lookup reads the cache file from its end this many bytes at a time.
+_CACHE_BLOCK = 1 << 16
+
+
 def cache_lookup(path: str, key: str) -> dict | None:
-    """The last valid record for ``key``, or None. Lines are streamed as
-    bytes and only those that contain the key are parsed. A record is valid
-    when its ``"count"`` is a non-negative integer (``true`` is not)."""
+    """The last valid record for ``key``, or None. The file is read from
+    its end in blocks, and only the lines that contain the key are parsed,
+    last first, until one is valid; memory holds one block and one line. A
+    record is valid when its ``"count"`` is a non-negative integer (``true``
+    is not)."""
     import json
 
     needle = key.encode("ascii")
-    hit = None
     try:
         with open(path, "rb") as fh:
-            for line in fh:
-                if needle not in line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(record, dict) or record.get("key") != key:
-                    continue
-                if type(record.get("count")) is int and record["count"] >= 0:
-                    hit = record
+            pos = fh.seek(0, os.SEEK_END)
+            head = b""  # the end of a line whose start is not read yet
+            while pos:
+                start = max(0, pos - _CACHE_BLOCK)
+                fh.seek(start)
+                buf = fh.read(pos - start) + head
+                pos = start
+                # every line that starts in buf[lo:] also ends in buf
+                lo = (buf.find(b"\n") + 1 or len(buf)) if start else 0
+                head, hi = buf[:lo], len(buf)
+                while (at := buf.rfind(needle, lo, hi)) >= 0:
+                    hi = buf.rfind(b"\n", 0, at) + 1
+                    try:
+                        record = json.loads(buf[hi:buf.find(b"\n", at) + 1 or len(buf)])
+                    except ValueError:
+                        continue
+                    if (isinstance(record, dict) and record.get("key") == key
+                            and type(record.get("count")) is int and record["count"] >= 0):
+                        return record
     except OSError:
-        return None
-    return hit
+        pass
+    return None
 
 
 def cache_append(path: str, record: dict) -> None:

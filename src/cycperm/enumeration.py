@@ -11,44 +11,47 @@ this package so the two can be checked against each other.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import _kernels
+from ._record import FrozenRecord, Record, set_field
 from .errors import EmptyInput, TooSmall, check_cap
 from .patterns import Pattern, canonical_patterns
 from .perm import Permutation
 
-@dataclass(frozen=True)
-class EnumerationRequest:
+class EnumerationRequest(FrozenRecord):
     """One oracle invocation: length, patterns, and search options.
 
     ``parallelism`` is accepted and validated for compatibility but has no
     effect: the search runs on one thread.
     """
 
-    n: int
-    patterns: tuple[Pattern, ...]
-    cyclic_only: bool = True
-    collect: bool = False
-    parallelism: int = 1
+    __slots__ = _fields = ("n", "patterns", "cyclic_only", "collect", "parallelism")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise TooSmall(f"n must be at least 1, got {self.n}")
-        if not self.patterns:
+    def __init__(self, n: int, patterns: tuple[Pattern, ...], cyclic_only: bool = True,
+                 collect: bool = False, parallelism: int = 1):
+        if n < 1:
+            raise TooSmall(f"n must be at least 1, got {n}")
+        if not patterns:
             raise EmptyInput("the pattern set must be nonempty")
-        if self.parallelism < 1:
-            raise TooSmall(f"parallelism must be at least 1, got {self.parallelism}")
-        object.__setattr__(self, "patterns", canonical_patterns(self.patterns))
+        if parallelism < 1:
+            raise TooSmall(f"parallelism must be at least 1, got {parallelism}")
+        set_field(self, "n", n)
+        set_field(self, "patterns", canonical_patterns(patterns))
+        set_field(self, "cyclic_only", cyclic_only)
+        set_field(self, "collect", collect)
+        set_field(self, "parallelism", parallelism)
 
 
-@dataclass
-class EnumerationResult:
-    count: int
-    witnesses: Optional[list[Permutation]] = None
-    nodes_visited: int = 0
-    elapsed: float = 0.0
+class EnumerationResult(Record):
+    _fields = ("count", "witnesses", "nodes_visited", "elapsed")
+
+    def __init__(self, count: int, witnesses: Optional[list[Permutation]] = None,
+                 nodes_visited: int = 0, elapsed: float = 0.0):
+        self.count = count
+        self.witnesses = witnesses
+        self.nodes_visited = nodes_visited
+        self.elapsed = elapsed
 
 
 def count_avoiders(req: EnumerationRequest, cap: Optional[int] = None) -> EnumerationResult:

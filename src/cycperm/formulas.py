@@ -9,10 +9,10 @@ documented as package conventions, not literature claims.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from ._record import FrozenRecord, set_field
 from .errors import InternalInconsistency, NonPositive, TooSmall, UnsupportedPair
 
 
@@ -201,15 +201,20 @@ def upper_bound_123_231(n: int) -> Fraction:
     return Fraction(3 * n - 6, 4)
 
 
-@dataclass(frozen=True)
-class OeisSequence:
-    """A sequence this package can export in OEIS b-file form."""
+class OeisSequence(FrozenRecord):
+    """A sequence this package can export in OEIS b-file form. ``kind`` is
+    "formula" (any n) or "oracle" (capped)."""
 
-    ident: str
-    description: str
-    kind: str  # "formula" (any n) or "oracle" (capped)
-    formula: Optional[Callable[[int], int]] = None
-    pattern_labels: tuple[str, ...] = ()
+    __slots__ = _fields = ("ident", "description", "kind", "formula", "pattern_labels")
+
+    def __init__(self, ident: str, description: str, kind: str,
+                 formula: Optional[Callable[[int], int]] = None,
+                 pattern_labels: tuple[str, ...] = ()):
+        set_field(self, "ident", ident)
+        set_field(self, "description", description)
+        set_field(self, "kind", kind)
+        set_field(self, "formula", formula)
+        set_field(self, "pattern_labels", pattern_labels)
 
 
 OEIS_SEQUENCES: dict[str, OeisSequence] = {

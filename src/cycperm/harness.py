@@ -16,9 +16,9 @@ The CLI maps these kinds onto distinct exit codes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ._record import Record
 from .enumeration import (
     EnumerationRequest,
     check_cap,
@@ -68,17 +68,21 @@ CLAIM_KINDS = {
 }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """One claim's outcome per n; check functions fill it with ``record``
-    and stamp its run time with ``done``."""
+    and stamp its run time with ``done``, counted from construction."""
 
-    claim: str
-    status: dict[int, bool] = field(default_factory=dict)
-    counterexamples: list[tuple[int, str]] = field(default_factory=list)
-    elapsed: float = 0.0
-    notes: list[str] = field(default_factory=list)
-    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False)
+    _fields = ("claim", "status", "counterexamples", "elapsed", "notes", "_t0")
+
+    def __init__(self, claim: str, status: dict[int, bool] | None = None,
+                 counterexamples: list[tuple[int, str]] | None = None,
+                 elapsed: float = 0.0, notes: list[str] | None = None):
+        self.claim = claim
+        self.status = {} if status is None else status
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.elapsed = elapsed
+        self.notes = [] if notes is None else notes
+        self._t0 = time.perf_counter()
 
     @property
     def ns(self) -> tuple[int, ...]:
@@ -157,9 +161,7 @@ def reproduce_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1)
 def check_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1) -> VerificationReport:
     """Oracle vs the embedded reference table, cell for cell."""
     if n_max > max(TABLE_ONE):
-        raise LimitExceeded(
-            f"reference values are embedded only through n = {max(TABLE_ONE)}"
-        )
+        raise LimitExceeded(f"reference values are embedded only through n = {max(TABLE_ONE)}")
     check_cap(n_max, cap)
     rep = VerificationReport("TableOne")
     for n in range(3, n_max + 1):
@@ -185,11 +187,8 @@ def check_formula_vs_oracle(
             qs = [parse_pattern(lbl) for lbl in pair.value.split(",")]
             formula = pair_count(pair, n)
             oracle = cyclic_count(qs, n)
-            rep.record(
-                n,
-                formula == oracle,
-                f"pair ({pair.value}): formula {formula} != oracle {oracle}",
-            )
+            rep.record(n, formula == oracle,
+                       f"pair ({pair.value}): formula {formula} != oracle {oracle}")
     return rep.done()
 
 
@@ -216,19 +215,10 @@ def check_chain_conjecture(
     check_cap(n_max, cap)
     rep = VerificationReport("ChainConjecture")
     for n in range(3, n_max + 1):
-        c = {
-            label: cyclic_count([parse_pattern(label)], n)
-            for label in TABLE_ONE_COLUMNS
-        }
-        ok = (
-            c["123"] >= c["132"] == c["213"] >= c["321"] >= c["231"] == c["312"]
-        )
-        rep.record(
-            n,
-            ok,
-            "chain broken: "
-            + " ".join(f"C({lbl})={c[lbl]}" for lbl in TABLE_ONE_COLUMNS),
-        )
+        c = {label: cyclic_count([parse_pattern(label)], n) for label in TABLE_ONE_COLUMNS}
+        ok = c["123"] >= c["132"] == c["213"] >= c["321"] >= c["231"] == c["312"]
+        rep.record(n, ok, "chain broken: "
+                   + " ".join(f"C({lbl})={c[lbl]}" for lbl in TABLE_ONE_COLUMNS))
     return rep.done()
 
 
@@ -245,12 +235,8 @@ def check_growth_bounds(
     for n in range(3, n_max):
         nxt = cyclic_count([q], n + 1)
         ok = 2 * prev <= nxt <= 4 * prev
-        rep.record(
-            n,
-            ok,
-            f"C_{n}({label}) = {prev}, C_{n + 1}({label}) = {nxt} "
-            f"violates 2x..4x growth",
-        )
+        rep.record(n, ok, f"C_{n}({label}) = {prev}, C_{n + 1}({label}) = {nxt} "
+                          f"violates 2x..4x growth")
         prev = nxt
     return rep.done()
 
@@ -313,14 +299,9 @@ def check_insertion_theorem(
         t_set = {inverse(s) for s in s_set}
         c_n = len(avoiders)
         c_next = cyclic_count([q], n + 1)
-        bad_member = next(
-            (
-                s
-                for s in s_set | t_set
-                if not (is_cyclic(s) and avoids_all(s, [q]) and len(s) == n + 1)
-            ),
-            None,
-        )
+        bad_member = next((s for s in s_set | t_set
+                           if not (is_cyclic(s) and avoids_all(s, [q]) and len(s) == n + 1)),
+                          None)
         problems = []
         if len(s_set) != c_n or len(t_set) != c_n:
             problems.append(f"|S|={len(s_set)}, |T|={len(t_set)}, C_{n}({label})={c_n}")
@@ -349,9 +330,6 @@ def check_k_minus_one_question(
     for n in range(k, n_max):
         c_n = cyclic_count([q], n)
         c_next = cyclic_count([q], n + 1)
-        rep.record(
-            n,
-            (k - 1) * c_n <= c_next,
-            f"({k}-1)*C_{n}({label}) = {(k - 1) * c_n} > C_{n + 1}({label}) = {c_next}",
-        )
+        rep.record(n, (k - 1) * c_n <= c_next,
+                   f"({k}-1)*C_{n}({label}) = {(k - 1) * c_n} > C_{n + 1}({label}) = {c_next}")
     return rep.done()

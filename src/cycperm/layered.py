@@ -11,25 +11,25 @@ cycle-tracing definition so the two can be swept against each other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Optional
 
+from ._record import FrozenRecord, set_field
 from .errors import TooSmall
 from .perm import Permutation, is_cyclic
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(FrozenRecord):
     """Layer lengths (first, second, third); all positive, summing to n."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
-            raise ValueError(f"layer lengths must be positive: {(self.a, self.b, self.c)}")
+    def __init__(self, a: int, b: int, c: int):
+        if min(a, b, c) < 1:
+            raise ValueError(f"layer lengths must be positive: {(a, b, c)}")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
     @property
     def n(self) -> int:
@@ -47,10 +47,12 @@ class TripleReason(enum.Enum):
     GOOD_EVEN_MINUS_ONE_CASE = "GoodEvenMinusOneCase"
 
 
-@dataclass(frozen=True)
-class TripleClassification:
-    good: bool
-    reason: TripleReason
+class TripleClassification(FrozenRecord):
+    __slots__ = _fields = ("good", "reason")
+
+    def __init__(self, good: bool, reason: TripleReason):
+        set_field(self, "good", good)
+        set_field(self, "reason", reason)
 
 
 def permutation_of_triple(t: Triple) -> Permutation:

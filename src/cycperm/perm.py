@@ -10,14 +10,13 @@ convention, so callers should not assume otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import FrozenRecord, set_field
 from .errors import EmptyInput, LengthMismatch, NotABijection
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenRecord):
     """A bijection on {1..n} in one-line notation.
 
     >>> Permutation((2, 4, 1, 3))(1)
@@ -26,14 +25,24 @@ class Permutation:
     '2 4 1 3'
     """
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries: tuple[int, ...]):
+        n = len(entries)
         if n == 0:
             raise EmptyInput("a permutation must have length at least 1")
-        if sorted(self.entries) != list(range(1, n + 1)):
-            raise NotABijection(f"not a rearrangement of 1..{n}: {self.entries}")
+        if sorted(entries) != list(range(1, n + 1)):
+            raise NotABijection(f"not a rearrangement of 1..{n}: {entries}")
+        set_field(self, "entries", entries)
+
+    # Not the inherited field loop: the claims' sets hash and compare these.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -6,25 +6,27 @@ an equal table; TSV matches how the reference tables read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import FrozenRecord, Record, set_field
 
 PROVENANCES = ("oracle", "formula", "golden")
 
 
-@dataclass(frozen=True)
-class Cell:
-    count: int
-    provenance: str
+class Cell(FrozenRecord):
+    __slots__ = _fields = ("count", "provenance")
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __init__(self, count: int, provenance: str):
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        set_field(self, "count", count)
+        set_field(self, "provenance", provenance)
 
 
-@dataclass
-class CountTable:
-    columns: tuple[str, ...]
-    rows: dict[int, dict[str, Cell]] = field(default_factory=dict)
+class CountTable(Record):
+    _fields = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: dict[int, dict[str, Cell]] | None = None):
+        self.columns = columns
+        self.rows = {} if rows is None else rows
 
     def set(self, n: int, column: str, count: int, provenance: str) -> None:
         if column not in self.columns:

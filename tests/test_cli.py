@@ -39,8 +39,11 @@ try:
 except SystemExit as exc:
     print(exc.code, *sorted(set(sys.modules) - before))
 """
+# no command builds its records with the standard library's generator
+_NOT_FOR_RECORDS = ("dataclasses", "inspect")
 _NOT_FOR_CLOSED_FORMS = ("cycperm.enumeration", "cycperm._kernels", "cycperm.harness",
                          "cycperm.layered", "hashlib", "fractions")
+_NOT_FOR_COUNTS = ("cycperm.harness", "cycperm.formulas", "cycperm.layered")
 
 
 @pytest.mark.parametrize("args, runs, absent", [
@@ -48,17 +51,24 @@ _NOT_FOR_CLOSED_FORMS = ("cycperm.enumeration", "cycperm._kernels", "cycperm.har
     (("export", "--seq", "A309563", "--n-max", "9", "--offset", "1", "--out", "{out}"),
      "cycperm.formulas", _NOT_FOR_CLOSED_FORMS),
     (("count", "--n", "6", "--avoid", "123"), "cycperm.enumeration",
-     ("cycperm.harness", "cycperm.formulas", "cycperm.layered", "hashlib")),
-], ids=["formula", "export", "count"])
+     _NOT_FOR_COUNTS + ("hashlib",)),
+    (("count", "--n", "6", "--avoid", "123", "--cache", "{cache}"), "hashlib", _NOT_FOR_COUNTS),
+    (("triples", "--n", "9"), "cycperm.layered",
+     ("cycperm.enumeration", "cycperm._kernels", "cycperm.harness", "cycperm.formulas")),
+    (("verify", "--claim", "triple-formula", "--n-max", "12"), "cycperm.harness", ()),
+    (("conjectures", "--n-max", "5"), "cycperm.harness", ()),
+], ids=["formula", "export", "count", "count-cache", "triples", "verify", "conjectures"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, args, runs, absent):
-    argv = [a.replace("{out}", str(tmp_path / "b.txt")) for a in args]
+    (tmp_path / "c.jsonl").write_text(json.dumps({"key": "ab" * 32, "count": 1}) + "\n")
+    argv = [a.replace("{out}", str(tmp_path / "b.txt")).replace("{cache}", str(tmp_path / "c.jsonl"))
+            for a in args]
     proc = subprocess.run([sys.executable, "-c", _MODULES_ADDED, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, *added = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     assert runs in added
-    assert sorted(set(absent) & set(added)) == []
+    assert sorted(set(absent + _NOT_FOR_RECORDS) & set(added)) == []
 
 
 def test_count_single_cell():
@@ -423,6 +433,76 @@ def test_cache_record_with_unusable_count_is_miss(tmp_path, extra):
     assert proc.stdout == "n\t123\n5\t10\n"
     # the search ran again and appended a good record, which now wins
     assert cli.cache_lookup(str(cache), key)["count"] == 10
+
+
+def _forward_lookup(path, key):
+    """Reference lookup: scan every line from the start; the last line that
+    contains the key and parses to a dict with that key and a non-negative
+    int count wins."""
+    needle = key.encode("ascii")
+    hit = None
+    try:
+        with open(path, "rb") as fh:
+            for line in fh:
+                if needle not in line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if (isinstance(record, dict) and record.get("key") == key
+                        and type(record.get("count")) is int and record["count"] >= 0):
+                    hit = record
+    except OSError:
+        return None
+    return hit
+
+
+_COUNTS = st.one_of(st.integers(-2, 10**30), st.sampled_from(["7", True, False, None, 1.0]))
+
+
+def _record_line(key, count, pad):
+    record = {"key": key, "pad": "x" * pad}
+    if count != "missing":
+        record["count"] = count
+    return json.dumps(record, sort_keys=True).encode("ascii")
+
+
+_CACHE_LINE = st.one_of(
+    st.builds(_record_line, st.sampled_from([KEY, KEY, OTHER]),
+              st.one_of(_COUNTS, st.just("missing")), st.integers(0, 40)),
+    st.builds(lambda c: json.dumps({"key": OTHER, "count": c, "note": KEY}).encode(), _COUNTS),
+    st.sampled_from([json.dumps([KEY, 3]), json.dumps(KEY), "3", "null"]).map(str.encode),
+    # torn records, non-UTF-8 bytes next to the key, and arbitrary bytes
+    st.builds(lambda line, cut: line[:cut], st.builds(_record_line, st.just(KEY), _COUNTS,
+                                                      st.just(0)), st.integers(0, 80)),
+    st.builds(lambda line, at: line[:at] + b"\xff" + line[at:],
+              st.builds(_record_line, st.just(KEY), st.integers(0, 9), st.just(3)),
+              st.integers(1, 30)),
+    st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CACHE_LINE, max_size=12), newline_at_end=st.booleans(),
+       block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 16]))
+def test_cache_lookup_matches_forward_scan(tmp_path, monkeypatch, lines, newline_at_end, block):
+    """Reading from the end in blocks finds what a forward scan finds, with
+    blocks small enough that records straddle them."""
+    monkeypatch.setattr(cli, "_CACHE_BLOCK", block)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + (b"\n" if newline_at_end and lines else b""))
+    assert cli.cache_lookup(str(path), KEY) == _forward_lookup(str(path), KEY)
+    assert cli.cache_lookup(str(path), OTHER) == _forward_lookup(str(path), OTHER)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_cache_lookup_empty_or_missing_file_is_miss(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(cli, "_CACHE_BLOCK", block)
+    (tmp_path / "empty.jsonl").write_bytes(b"")
+    assert cli.cache_lookup(str(tmp_path / "empty.jsonl"), KEY) is None
+    assert cli.cache_lookup(str(tmp_path / "absent.jsonl"), KEY) is None
 
 
 def test_cache_distinguishes_cyclic_flag(tmp_path):

@@ -4,6 +4,9 @@ defaults, validation errors, repr text, equality, hash and (im)mutability.
 The hash of a frozen record equals the hash of the tuple of its fields, so
 sets of records iterate in the same order whatever the records are built on.
 """
+import copy
+import pickle
+
 import pytest
 
 from cycperm.enumeration import EnumerationRequest, EnumerationResult
@@ -45,6 +48,8 @@ def test_frozen_record_repr_eq_hash(record, fields, text):
     assert twin is not record
     assert record != fields  # a record equals only a record of its own class
     assert len({record, twin}) == 1
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
 
 
 @pytest.mark.parametrize("record, fields, text", FROZEN, ids=FROZEN_IDS)
