@@ -1,7 +1,8 @@
 """The oracle's search kernel, in plain Python over lists and int bitmasks.
 
-One depth-first search serves counting and witness listing, over cyclic
-or all permutations. It fills the one-line positions left to right and
+One depth-first search from the empty prefix serves counting and witness
+listing, over cyclic or all permutations; each oracle request is one call
+of _count_from_root. It fills the one-line positions left to right and
 tries the unused values in ascending order, so witnesses come out in
 lexicographic order. Value v is bit v of every mask.
 
@@ -26,7 +27,12 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 
-def compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
+#: Names the search behind every count and node total; bumped by any change
+#: to what _count_from_root returns, so a cached count never outlives it.
+KERNEL_VERSION = 1
+
+
+def _compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
     """Per pattern, the plan (gaps, lo, hi, k) the search matches it with.
 
     Returns None when a pattern has length 1, which nothing avoids. For a
@@ -66,13 +72,16 @@ def _spans(n: int) -> tuple:
     )
 
 
-def _count_from_root(n: int, root: int, plans, cyclic_only: bool, sink=None) -> tuple[int, int]:
-    """Search the subtree whose first entry is root.
+def _count_from_root(
+    n: int, patterns: Iterable[Sequence[int]], cyclic_only: bool, sink=None
+) -> tuple[int, int]:
+    """Search the length-n permutations (or n-cycles) avoiding the patterns.
 
-    ``plans`` comes from compile_patterns. Returns (count, nodes): the
-    avoiders found and the placements made. When sink is a list, each
-    avoider's one-line tuple is appended to it, in lexicographic order.
+    Returns (count, nodes): the avoiders found and the placements made.
+    When sink is a list, each avoider's one-line tuple is appended to it,
+    in lexicographic order.
     """
+    plans = _compile_patterns(patterns)
     if plans is None:
         return 0, 0
     spans = _spans(n)
@@ -144,7 +153,7 @@ def _count_from_root(n: int, root: int, plans, cyclic_only: bool, sink=None) -> 
                     descend(i, rest, rest)
 
     full = (1 << top) - 2
-    descend(0, full, 1 << root)
+    descend(0, full, full)
     # Both closures reach themselves through their cells. Deleting them
     # breaks that cycle, so this call's state is freed at once rather than
     # left to the cyclic garbage collector.

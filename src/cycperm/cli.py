@@ -140,7 +140,11 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     formula-vs-oracle reaches n = 11 and pair-avoider search trees are tiny."""
     if args.workers is None:
         _env_int(_ENV_WORKERS)
-    _require_parent_dir("--cache", getattr(args, "cache", None))
+    cache = getattr(args, "cache", None)
+    _require_parent_dir("--cache", cache)
+    if cache and os.path.exists(cache) and not os.path.isfile(cache):
+        # a FIFO would block the lookup's open; a device reads as empty
+        raise BadSetting(f"--cache {cache}: not a regular file")
     _require_parent_dir("--out", getattr(args, "out", None))
     default = DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP
     if args.command == "verify":
@@ -155,10 +159,15 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 
 def _cache_key(n: int, labels: list[str], cyclic: bool) -> str:
+    """The record key: a hash of the request and of the kernel version, so
+    a count from a replaced kernel is a miss."""
     import hashlib
     import json
 
-    blob = json.dumps({"n": n, "patterns": labels, "cyclic": cyclic}, sort_keys=True)
+    from ._kernels import KERNEL_VERSION
+
+    blob = json.dumps({"n": n, "patterns": labels, "cyclic": cyclic, "kernel": KERNEL_VERSION},
+                      sort_keys=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 

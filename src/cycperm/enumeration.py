@@ -2,8 +2,8 @@
 
 Counts (and optionally lists) permutations of length n avoiding a pattern
 set, either over all permutations or restricted to single n-cycles. The
-search is pruned backtracking over one-line prefixes; see _kernels for
-the search itself.
+search is pruned backtracking over one-line prefixes, one kernel call per
+request; see _kernels for the search itself.
 
 The oracle is deliberately independent of every closed-form formula in
 this package so the two can be checked against each other.
@@ -80,15 +80,10 @@ def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> Enume
     """Execute a request as stated; prefer the count_*/list_* wrappers."""
     check_cap(req.n, cap)
     t0 = time.perf_counter()
-    plans = _kernels.compile_patterns(q.entries for q in req.patterns)
-    # One kernel call per choice of the first entry, in ascending order, so
-    # the shared witness list stays lexicographic.
     witnesses = [] if req.collect else None
-    count = nodes = 0
-    for root in range(1, req.n + 1):
-        c, nd = _kernels._count_from_root(req.n, root, plans, req.cyclic_only, witnesses)
-        count += c
-        nodes += nd
+    count, nodes = _kernels._count_from_root(
+        req.n, [q.entries for q in req.patterns], req.cyclic_only, witnesses
+    )
     return EnumerationResult(
         count=count,
         witnesses=None if witnesses is None else [Permutation(w) for w in witnesses],

@@ -192,11 +192,11 @@ def check_formula_vs_oracle(
     return rep.done()
 
 
-def check_triple_formula(n_max: int = 60, n_min: int = 3) -> VerificationReport:
+def check_triple_formula(n_max: int = 60) -> VerificationReport:
     """Arithmetic goodness clauses against direct cycle tracing, for every
-    triple with n_min <= a+b+c <= n_max."""
+    triple with 3 <= a+b+c <= n_max."""
     rep = VerificationReport("TripleFormula")
-    for n in range(n_min, n_max + 1):
+    for n in range(3, n_max + 1):
         for t in all_triples(n):
             by_formula = classify_triple_formula(t).good
             by_direct = is_good_triple_direct(t)
@@ -281,7 +281,8 @@ def check_insertion_theorem(
 
     For each n: builds the insertion images S and their inverses T,
     re-verifies every member independently (cyclic, avoiding), checks
-    |S| = |T| = C_n(q), S and T disjoint, and 2 C_n(q) <= C_{n+1}(q).
+    |S| = |T| = C_n(q), S and T disjoint, and 2 C_n(q) <= C_{n+1}(q). An
+    oracle witness the construction rejects is a counterexample at its n.
     """
     failure = _insertion_hypothesis_failure(q)
     if failure is not None:
@@ -295,14 +296,18 @@ def check_insertion_theorem(
     label = pattern_label(q)
     for n in range(3, n_max):
         avoiders = list_cyclic_avoiders(n, [q], cap=n)
-        s_set = {insertion_construction(p, q) for p in avoiders}
+        s_set, problems = set(), []
+        for p in avoiders:
+            try:
+                s_set.add(insertion_construction(p, q))
+            except PreconditionViolated as exc:  # q is valid, so the oracle erred
+                problems.append(f"oracle witness rejected: {exc}")
         t_set = {inverse(s) for s in s_set}
         c_n = len(avoiders)
         c_next = cyclic_count([q], n + 1)
         bad_member = next((s for s in s_set | t_set
                            if not (is_cyclic(s) and avoids_all(s, [q]) and len(s) == n + 1)),
                           None)
-        problems = []
         if len(s_set) != c_n or len(t_set) != c_n:
             problems.append(f"|S|={len(s_set)}, |T|={len(t_set)}, C_{n}({label})={c_n}")
         if s_set & t_set:

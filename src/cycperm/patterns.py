@@ -13,6 +13,7 @@ re-verify the oracle's witnesses independently of its search.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from math import inf
 from typing import Iterable, Sequence
 
 from .errors import BadPattern
@@ -104,46 +105,28 @@ def _contains_len3(word: Sequence[int], pat: Sequence[int]) -> bool:
     # For each middle element y, pick the extremal admissible first element
     # x (extremal in the direction that least constrains the third element),
     # then scan the suffix for a third element z. The prefix is kept sorted
-    # so the extremal x is a bisect away; total O(n^2).
-    first_below = pat[0] < pat[1]  # x < y required?
-    third_above_first = pat[2] > pat[0]  # z > x required?
-    third_above_middle = pat[2] > pat[1]  # z > y required?
+    # so the extremal x is a bisect away; total O(n^2). The rank of pat[2]
+    # among the three entries places z below, between or above x and y.
+    a, b, c = pat
+    rank = (c > a) + (c > b)
     n = len(word)
     prefix: list[int] = [word[0]]
     for j in range(1, n - 1):
         y = word[j]
-        x = None
-        if first_below:
+        if a < b:  # x below y: the least one when z is above x, else the greatest
             pos = bisect_left(prefix, y)
-            if pos > 0:
-                # min below y is least constraining when z > x, max otherwise
-                x = prefix[0] if third_above_first else prefix[pos - 1]
-        else:
+            x = (prefix[0] if c > a else prefix[pos - 1]) if pos else None
+        else:  # x above y: the greatest one when z is below x, else the least
             pos = bisect_right(prefix, y)
-            if pos < len(prefix):
-                x = prefix[-1] if not third_above_first else prefix[pos]
+            x = (prefix[pos] if c > a else prefix[-1]) if pos < len(prefix) else None
         if x is not None:
-            lo, hi = _z_range(x, y, third_above_first, third_above_middle)
-            if lo < hi:
-                for l in range(j + 1, n):
-                    if lo < word[l] < hi:
-                        return True
+            lo, hi = (x, y) if x < y else (y, x)
+            lo, hi = ((-inf, lo), (lo, hi), (hi, inf))[rank]
+            for z in word[j + 1:]:
+                if lo < z < hi:
+                    return True
         insort(prefix, y)
     return False
-
-
-def _z_range(x: int, y: int, z_above_x: bool, z_above_y: bool) -> tuple[float, float]:
-    lo = float("-inf")
-    hi = float("inf")
-    if z_above_x:
-        lo = max(lo, x)
-    else:
-        hi = min(hi, x)
-    if z_above_y:
-        lo = max(lo, y)
-    else:
-        hi = min(hi, y)
-    return lo, hi
 
 
 def _contains_backtrack(word: Sequence[int], pat: Sequence[int]) -> bool:

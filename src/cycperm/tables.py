@@ -68,32 +68,17 @@ class CountTable(Record):
                 table.set(row["n"], col, cell["count"], cell["provenance"])
         return table
 
-    def to_tsv(self, header: bool = True) -> str:
-        lines = []
-        if header:
-            lines.append("\t".join(["n", *self.columns]))
-        for n, cells in self.rows.items():
-            lines.append(
-                "\t".join(
-                    [str(n)]
-                    + [str(cells[c].count) if c in cells else "" for c in self.columns]
-                )
-            )
-        return "\n".join(lines) + "\n"
+    def _grid(self, absent: str) -> list[list[str]]:
+        """The header and one row per n, as text; ``absent`` fills an empty cell."""
+        return [["n", *self.columns]] + [
+            [str(n), *(str(cells[c].count) if c in cells else absent for c in self.columns)]
+            for n, cells in self.rows.items()
+        ]
+
+    def to_tsv(self) -> str:
+        return "".join("\t".join(row) + "\n" for row in self._grid(""))
 
     def to_text(self) -> str:
-        widths = [max(len("n"), *(len(str(n)) for n in self.rows))] if self.rows else [1]
-        for c in self.columns:
-            cell_w = max(
-                (len(str(cells[c].count)) for cells in self.rows.values() if c in cells),
-                default=0,
-            )
-            widths.append(max(len(c), cell_w))
-        header = ["n", *self.columns]
-        out = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for n, cells in self.rows.items():
-            vals = [str(n)] + [
-                str(cells[c].count) if c in cells else "-" for c in self.columns
-            ]
-            out.append("  ".join(v.rjust(w) for v, w in zip(vals, widths)))
-        return "\n".join(out) + "\n"
+        grid = self._grid("-")
+        widths = [max(map(len, col)) for col in zip(*grid)]
+        return "".join("  ".join(v.rjust(w) for v, w in zip(row, widths)) + "\n" for row in grid)

@@ -605,6 +605,69 @@ def test_directory_as_output_path_is_usage_error(tmp_path, flag, args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("make", ["fifo", "devnull"])
+def test_cache_that_is_not_a_regular_file_is_usage_error(tmp_path, make):
+    # a FIFO would block the lookup's open forever; the timeout catches a hang
+    if make == "fifo":
+        path = tmp_path / "c.fifo"
+        os.mkfifo(path)
+    else:
+        path = os.devnull
+    proc = subprocess.run([sys.executable, "-m", "cycperm", "count", "--n", "5", "--avoid",
+                           "123", "--cache", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("cycperm: error:")
+    assert "not a regular file" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cache_record_keyed_without_kernel_version_is_miss(tmp_path):
+    import hashlib
+
+    cache = tmp_path / "c.jsonl"
+    blob = json.dumps({"n": 5, "patterns": ["123"], "cyclic": True}, sort_keys=True)
+    old_key = hashlib.sha256(blob.encode("ascii")).hexdigest()
+    assert old_key != cli._cache_key(5, ["123"], True)
+    cli.cache_append(str(cache), {"key": old_key, "n": 5, "patterns": ["123"],
+                                  "cyclic": True, "count": 999})
+    proc = run_cli("count", "--n", "5", "--avoid", "123", "--cache", str(cache))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "n\t123\n5\t10\n"
+
+
+def test_cache_misses_after_kernel_version_changes(tmp_path, monkeypatch, capsys):
+    from cycperm import _kernels
+
+    cache = str(tmp_path / "c.jsonl")
+    args = ["count", "--n", "5", "--avoid", "123", "--cache", cache]
+    key = cli._cache_key(5, ["123"], True)
+    cli.cache_append(cache, {"key": key, "n": 5, "patterns": ["123"], "cyclic": True,
+                             "count": 999})
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == "n\t123\n5\t999\n"  # served from the cache
+    monkeypatch.setattr(_kernels, "KERNEL_VERSION", _kernels.KERNEL_VERSION + 1)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == "n\t123\n5\t10\n"  # searched again
+
+
+def test_bad_oracle_witness_fails_insertion_check(monkeypatch, capsys):
+    from cycperm import harness
+    from cycperm.perm import Permutation
+
+    real = harness.list_cyclic_avoiders
+
+    def with_identity(n, qs, cap=None):
+        return real(n, qs, cap=cap) + [Permutation(tuple(range(1, n + 1)))]
+
+    monkeypatch.setattr(harness, "list_cyclic_avoiders", with_identity)
+    code = cli.main(["verify", "--claim", "insertion", "--avoid", "321", "--n-max", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("InsertionTheorem: FAIL")
+    assert "oracle witness rejected: permutation 1 2 3 is not cyclic" in out
+
+
 _LABELS = st.sampled_from(["123", "231", "321", "12", "1", "4321", "1432", "1x3", "", "11", "0"])
 _PAIRS = st.sampled_from(["123,231", "123,132", "132,213", "123", "x,y", ",", ""])
 # a file, a directory and a file in a missing directory, relative to tmp_path

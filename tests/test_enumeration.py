@@ -189,13 +189,42 @@ def test_import_leaves_numpy_out():
 
 
 def test_search_leaves_no_reference_cycles():
-    # Each oracle call searches n subtrees; state that only the cyclic
-    # collector frees would make every call pay for collections later.
-    plans = _kernels.compile_patterns([(1, 2, 3), (2, 3, 1)])
+    # State that only the cyclic collector frees would make every oracle
+    # call pay for collections later.
     gc.collect()
     gc.disable()
     try:
-        _kernels._count_from_root(7, 1, plans, True, [])
+        _kernels._count_from_root(7, [(1, 2, 3), (2, 3, 1)], True, [])
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_one_kernel_call_per_request(monkeypatch):
+    # so a trace's kernel.calls counts oracle requests
+    calls = []
+    real = _kernels._count_from_root
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_count_from_root", counting)
+    for n in (1, 5, 8):
+        for collect in (False, True):
+            req = EnumerationRequest(n=n, patterns=(parse_pattern("123"), parse_pattern("231")),
+                                     collect=collect)
+            before = len(calls)
+            run_enumeration(req)
+            assert len(calls) == before + 1
+
+
+def test_node_totals_of_the_table_one_and_pair_sweeps():
+    from cycperm.formulas import PairFormulaId
+
+    table_one = [(n, (label,)) for n in range(3, 9) for label in
+                 ("123", "132", "213", "231", "312", "321")]
+    pairs = [(n, tuple(pair.value.split(","))) for n in range(3, 10) for pair in PairFormulaId]
+    assert (len(table_one), len(pairs)) == (36, 49)
+    assert sum(_cyclic(n, labels).nodes_visited for n, labels in table_one) == 8836
+    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 3070
