@@ -239,17 +239,12 @@ def _oracle_count(
     req = EnumerationRequest(n=n, patterns=patterns, cyclic_only=cyclic)
     result = run_enumeration(req, cap=cap)
     if cache_path:
-        cache_append(
-            cache_path,
-            {
-                "key": key,
-                "n": n,
-                "patterns": labels,
-                "cyclic": cyclic,
-                "count": result.count,
-                "nodes": result.nodes_visited,
-            },
-        )
+        record = {"key": key, "n": n, "patterns": labels, "cyclic": cyclic,
+                  "count": result.count, "nodes": result.nodes_visited}
+        try:
+            cache_append(cache_path, record)
+        except OSError as exc:
+            raise BadSetting(f"--cache {cache_path}: {exc.strerror or exc}") from None
     return result.count
 
 
@@ -391,17 +386,18 @@ def cmd_triples(args: argparse.Namespace, cap: int) -> int:
 
 def _write_whole(path: str, text: str) -> None:
     """Write ``text`` to ``path`` so that a reader sees the old content or
-    all of the new, never part of it: a file beside the target (through any
-    symlink) is written, then renamed over it. The file is not fsynced, so
-    after a crash the target may still be empty or short. A target that is
-    neither a regular file nor missing, such as /dev/stdout or a FIFO,
-    cannot be renamed over and is written in place."""
+    all of the new, never part of it: ``.cycperm-<pid>.tmp`` beside the
+    target (through any symlink) is written, then renamed over it; that
+    name is short, so it fits wherever the target's does. It is not
+    fsynced, so after a crash the target may still be empty or short. A
+    target that is neither a regular file nor missing, such as /dev/stdout
+    or a FIFO, cannot be renamed over and is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         return
     target = os.path.realpath(path)
-    tmp_path = f"{target}.{os.getpid()}.tmp"
+    tmp_path = os.path.join(os.path.dirname(target), f".cycperm-{os.getpid()}.tmp")
     try:
         with open(tmp_path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
@@ -417,23 +413,28 @@ def _write_whole(path: str, text: str) -> None:
 def cmd_export(args: argparse.Namespace, cap: int) -> int:
     from .formulas import OEIS_SEQUENCES, format_bfile
 
-    seq = OEIS_SEQUENCES.get(args.seq)
-    if seq is None:
+    labels = OEIS_SEQUENCES.get(args.seq)
+    if labels is None:
         known = ", ".join(sorted(OEIS_SEQUENCES))
         raise UnknownSequence(f"unknown sequence {args.seq!r} (supported: {known})")
     ns = range(args.offset, args.n_max + 1)
-    if seq.kind == "formula":
-        pairs = [(n, seq.formula(n)) for n in ns]
+    if len(labels) == 2:
+        from .formulas import pair_count, pair_id_from_labels
+
+        pair = pair_id_from_labels(*labels)
+        rows = [(n, pair_count(pair, n)) for n in ns]
     else:
         from .patterns import parse_pattern
 
         check_cap(args.n_max, cap)
-        qs = tuple(parse_pattern(lbl) for lbl in seq.pattern_labels)
-        pairs = [(n, _oracle_count(n, qs, True, cap, None)) for n in ns]
-    text = format_bfile(pairs)
+        qs = (parse_pattern(labels[0]),)
+        rows = [(n, _oracle_count(n, qs, True, cap, None)) for n in ns]
     out_path = args.out or f"b{args.seq[1:]}.txt"
-    _write_whole(out_path, text)
-    _warn(args, f"wrote {len(pairs)} lines to {out_path}")
+    try:
+        _write_whole(out_path, format_bfile(rows))
+    except OSError as exc:
+        raise BadSetting(f"--out {out_path}: {exc.strerror or exc}") from None
+    _warn(args, f"wrote {len(rows)} lines to {out_path}")
     return 0
 
 

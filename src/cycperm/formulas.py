@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable, Optional
 
-from ._record import FrozenRecord, set_field
 from .errors import InternalInconsistency, NonPositive, TooSmall, UnsupportedPair
 
 
@@ -201,53 +199,14 @@ def upper_bound_123_231(n: int) -> Fraction:
     return Fraction(3 * n - 6, 4)
 
 
-class OeisSequence(FrozenRecord):
-    """A sequence this package can export in OEIS b-file form. ``kind`` is
-    "formula" (any n) or "oracle" (capped)."""
-
-    __slots__ = _fields = ("ident", "description", "kind", "formula", "pattern_labels")
-
-    def __init__(self, ident: str, description: str, kind: str,
-                 formula: Optional[Callable[[int], int]] = None,
-                 pattern_labels: tuple[str, ...] = ()):
-        set_field(self, "ident", ident)
-        set_field(self, "description", description)
-        set_field(self, "kind", kind)
-        set_field(self, "formula", formula)
-        set_field(self, "pattern_labels", pattern_labels)
-
-
-OEIS_SEQUENCES: dict[str, OeisSequence] = {
-    "A309563": OeisSequence(
-        ident="A309563",
-        description="cyclic permutations avoiding 123 and 231",
-        kind="formula",
-        formula=count_123_231,
-    ),
-    "A309504": OeisSequence(
-        ident="A309504",
-        description="cyclic permutations avoiding 123",
-        kind="oracle",
-        pattern_labels=("123",),
-    ),
-    "A309505": OeisSequence(
-        ident="A309505",
-        description="cyclic permutations avoiding 132 (equally, 213)",
-        kind="oracle",
-        pattern_labels=("132",),
-    ),
-    "A309506": OeisSequence(
-        ident="A309506",
-        description="cyclic permutations avoiding 231 (equally, 312)",
-        kind="oracle",
-        pattern_labels=("231",),
-    ),
-    "A309508": OeisSequence(
-        ident="A309508",
-        description="cyclic permutations avoiding 321",
-        kind="oracle",
-        pattern_labels=("321",),
-    ),
+#: The sequences ``export`` writes, by the patterns they avoid: a pair is
+#: evaluated by its closed form at any n, a single pattern by the oracle.
+OEIS_SEQUENCES = {
+    "A309563": ("123", "231"),
+    "A309504": ("123",),
+    "A309505": ("132",),
+    "A309506": ("231",),
+    "A309508": ("321",),
 }
 
 

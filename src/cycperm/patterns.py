@@ -66,8 +66,10 @@ def parse_pattern_set(texts: Iterable[str]) -> tuple[Pattern, ...]:
 
 
 def canonical_patterns(qs: Iterable[Pattern]) -> tuple[Pattern, ...]:
-    """Deterministic ordering: by length, then lexicographic entries."""
-    return tuple(sorted(set(qs), key=lambda q: (len(q), q.entries)))
+    """Deterministic ordering: by length, then lexicographic entries. Equal
+    patterns are merged by their entries, which hash faster than records."""
+    unique = {q.entries: q for q in qs}
+    return tuple(sorted(unique.values(), key=lambda q: (len(q), q.entries)))
 
 
 def pattern_set_label(qs: Iterable[Pattern]) -> str:

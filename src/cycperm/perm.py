@@ -35,15 +35,6 @@ class Permutation(FrozenRecord):
             raise NotABijection(f"not a rearrangement of 1..{n}: {entries}")
         set_field(self, "entries", entries)
 
-    # Not the inherited field loop: the claims' sets hash and compare these.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -271,7 +271,7 @@ def test_export_replaces_existing_file_whole(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
-def test_export_failed_rename_keeps_old_file(tmp_path, monkeypatch):
+def test_export_failed_rename_keeps_old_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "b309563.txt"
     out.write_text("old\n")
 
@@ -279,11 +279,50 @@ def test_export_failed_rename_keeps_old_file(tmp_path, monkeypatch):
         raise OSError("rename refused")
 
     monkeypatch.setattr(cli.os, "replace", fail)
-    with pytest.raises(OSError):
-        cli.main(["export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
-                  "--quiet", "--out", str(out)])
+    assert cli.main(["export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                     "--quiet", "--out", str(out)]) == 64
+    assert capsys.readouterr() == ("", f"cycperm: error: --out {out}: rename refused\n")
     assert out.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_export_to_a_long_name_fits_its_temporary_file(tmp_path):
+    out = tmp_path / ("b" * 254)  # a valid name; with a suffix it would not be
+    proc = run_cli("export", "--seq", "A309563", "--n-max", "5", "--offset", "1",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "1 1\n2 1\n3 1\n4 1\n5 2\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "--seq", "A309563", "--n-max", "5", "--offset", "1", "--out"),
+    ("count", "--n", "5", "--avoid", "123", "--cache"),
+], ids=["out", "cache"])
+def test_a_write_the_os_refuses_exits_64(tmp_path, argv):
+    path = str(tmp_path / ("x" * 300))  # longer than any file name may be
+    proc = run_cli(*argv, path)
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"cycperm: error: {argv[-1]} {path}: ")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seq, argv", [
+    ("A309563", ("formula", "--pair", "123,231")),
+    ("A309504", ("count", "--avoid", "123")),
+    ("A309505", ("count", "--avoid", "132")),
+    ("A309506", ("count", "--avoid", "231")),
+    ("A309508", ("count", "--avoid", "321")),
+])
+def test_export_writes_what_formula_or_count_prints(tmp_path, capsys, seq, argv):
+    out = tmp_path / "b.txt"
+    assert cli.main(["export", "--seq", seq, "--n-max", "8", "--offset", "1", "--quiet",
+                     "--out", str(out)]) == 0
+    assert cli.main([*argv, "--n-max", "8"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]  # below the header
+    assert out.read_text() == "".join(row.replace("\t", " ") + "\n" for row in rows)
 
 
 def test_export_through_symlink_keeps_link(tmp_path):
@@ -666,6 +705,26 @@ def test_bad_oracle_witness_fails_insertion_check(monkeypatch, capsys):
     assert code == 1
     assert out.startswith("InsertionTheorem: FAIL")
     assert "oracle witness rejected: permutation 1 2 3 is not cyclic" in out
+
+
+def test_repeated_oracle_witness_fails_insertion_check(monkeypatch, capsys):
+    from cycperm import harness
+    from cycperm.patterns import parse_pattern
+
+    real = harness.list_cyclic_avoiders
+
+    def first_twice(n, qs, cap=None):
+        found = real(n, qs, cap=cap)
+        return found[:1] + found
+
+    monkeypatch.setattr(harness, "list_cyclic_avoiders", first_twice)
+    code = cli.main(["verify", "--claim", "insertion", "--avoid", "321", "--n-max", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("InsertionTheorem: FAIL")
+    for n in (3, 4):
+        first = real(n, [parse_pattern("321")])[0]
+        assert f"n={n}: oracle witness {first} repeats or breaks the ascending order" in out
 
 
 _LABELS = st.sampled_from(["123", "231", "321", "12", "1", "4321", "1432", "1x3", "", "11", "0"])

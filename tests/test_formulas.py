@@ -124,9 +124,9 @@ def test_132_321_witnesses_are_long_cycle_powers():
 
 
 def test_oeis_registry():
-    assert OEIS_SEQUENCES["A309563"].kind == "formula"
-    assert OEIS_SEQUENCES["A309504"].pattern_labels == ("123",)
-    assert set(OEIS_SEQUENCES) == {"A309563", "A309504", "A309505", "A309506", "A309508"}
+    assert OEIS_SEQUENCES == {"A309563": ("123", "231"), "A309504": ("123",),
+                              "A309505": ("132",), "A309506": ("231",), "A309508": ("321",)}
+    assert pair_id_from_labels(*OEIS_SEQUENCES["A309563"]) == PairFormulaId.P123_231
 
 
 def test_format_bfile():

@@ -83,6 +83,15 @@ def test_triple_formula_counterexample_text(monkeypatch):
         (5, "triple (2, 1, 2): formula says False, cycle trace says True")]
 
 
+def test_triple_formula_checks_the_closed_form(monkeypatch):
+    # the good triples are counted by the cycle trace, so only n = 7 fails
+    real = harness.count_123_231
+    monkeypatch.setattr(harness, "count_123_231", lambda n: real(n) + (n == 7))
+    rep = check_triple_formula(n_max=10)
+    assert [n for n, ok in rep.status.items() if not ok] == [7]
+    assert rep.counterexamples == [(7, "2 good triples, count_123_231(7) = 3")]
+
+
 def test_insertion_construction_examples():
     assert insertion_construction(
         make_permutation([3, 1, 2]), parse_pattern("321")
@@ -117,6 +126,22 @@ def test_insertion_theorem_small(label):
     assert rep.passed, rep.counterexamples
     assert rep.ns == tuple(range(3, 7))
     assert rep.notes  # records the n = 2 caveat instead of asserting it
+
+
+def test_insertion_check_keeps_no_set_of_images(monkeypatch):
+    # 200 KiB sits between this check (about 130 KiB) and one that holds the
+    # images and their inverses in sets (about 440 KiB)
+    import tracemalloc
+
+    monkeypatch.setattr(harness, "_COUNT_CACHE", {})
+    tracemalloc.start()
+    try:
+        rep = check_insertion_theorem(parse_pattern("321"), 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 200 * 1024
 
 
 def test_k_minus_one_question():

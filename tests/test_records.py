@@ -11,7 +11,6 @@ import pytest
 
 from cycperm.enumeration import EnumerationRequest, EnumerationResult
 from cycperm.errors import EmptyInput, NotABijection, TooSmall
-from cycperm.formulas import OEIS_SEQUENCES, OeisSequence, count_123_231
 from cycperm.harness import VerificationReport
 from cycperm.layered import Triple, TripleClassification, TripleReason
 from cycperm.perm import Permutation
@@ -31,10 +30,6 @@ FROZEN = [
     (EnumerationRequest(5, (P231, P123)), (5, (P123, P231), True, False, 1),
      "EnumerationRequest(n=5, patterns=(Permutation(entries=(1, 2, 3)), "
      "Permutation(entries=(2, 3, 1))), cyclic_only=True, collect=False, parallelism=1)"),
-    (OEIS_SEQUENCES["A309504"],
-     ("A309504", "cyclic permutations avoiding 123", "oracle", None, ("123",)),
-     "OeisSequence(ident='A309504', description='cyclic permutations avoiding 123', "
-     "kind='oracle', formula=None, pattern_labels=('123',))"),
 ]
 FROZEN_IDS = [type(record).__name__ for record, _, _ in FROZEN]
 
@@ -82,9 +77,6 @@ def test_keyword_construction_and_defaults():
     req = EnumerationRequest(n=4, patterns=(P123,), cyclic_only=False, collect=True,
                              parallelism=2)
     assert (req.n, req.cyclic_only, req.collect, req.parallelism) == (4, False, True, 2)
-    seq = OeisSequence(ident="A1", description="d", kind="formula", formula=count_123_231)
-    assert (seq.formula, seq.pattern_labels) == (count_123_231, ())
-    assert OeisSequence("A1", "d", "oracle", None, ("123",)).pattern_labels == ("123",)
 
 
 @pytest.mark.parametrize("build, error, message", [
