@@ -118,11 +118,12 @@ def _count_from_root(
                 return 1
         return 0
 
-    def descend(m, free, cands):
+    def descend(m, free):
         nonlocal count, nodes
         i = m + 1  # the one-line position being assigned, 1-based
         closing = start[i] if cyclic_only and m < last else 0
         used = prefix[m]
+        cands = free
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -144,16 +145,12 @@ def _count_from_root(
                     continue
                 pos[v] = m
                 prefix[i] = used | bit
-                if cyclic_only:
-                    s, e = start[i], end[v]
-                    end[s], start[e] = e, s
-                    descend(i, rest, rest)
-                    end[s], start[e] = i, v
-                else:
-                    descend(i, rest, rest)
+                s, e = start[i], end[v]
+                end[s], start[e] = e, s
+                descend(i, rest)
+                end[s], start[e] = i, v
 
-    full = (1 << top) - 2
-    descend(0, full, full)
+    descend(0, (1 << top) - 2)
     # Both closures reach themselves through their cells. Deleting them
     # breaks that cycle, so this call's state is freed at once rather than
     # left to the cyclic garbage collector.

@@ -26,15 +26,15 @@ from .errors import (
     UnknownSequence,
     UnsupportedPair,
     UsageError,
-    _env_int,
     check_cap,
-    configured_cap,
 )
 
 #: Without --extended the oracle stays in the fast range; --extended
 #: unlocks n = 11..DEFAULT_CAP (and prints a runtime warning). An explicit
 #: --cap always wins, then the CYCPERM_ORACLE_CAP environment variable.
 CLI_DEFAULT_CAP = 10
+
+_ENV_CAP = "CYCPERM_ORACLE_CAP"
 
 #: Accepted, like --workers, for compatibility only; the search runs on one
 #: thread. A value that is not an integer is still a usage error.
@@ -132,12 +132,24 @@ def _require_parent_dir(flag: str, path: str | None) -> None:
         raise BadSetting(f"{flag} {path}: directory {parent} does not exist")
 
 
+def _env_int(name: str) -> int | None:
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadSetting(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _resolve_cap(args: argparse.Namespace) -> int:
     """Raise the usage errors argparse cannot see, then resolve the oracle
     cap once, before any subcommand runs: --cap, then CYCPERM_ORACLE_CAP,
     then the default (DEFAULT_CAP with --extended, else CLI_DEFAULT_CAP).
     For verify the default also covers the claim's default range, since
-    formula-vs-oracle reaches n = 11 and pair-avoider search trees are tiny."""
+    formula-vs-oracle reaches n = 11 and pair-avoider search trees are tiny.
+    This is the only code that reads the environment; every library call
+    is handed the cap it returns."""
     if args.workers is None:
         _env_int(_ENV_WORKERS)
     cache = getattr(args, "cache", None)
@@ -149,7 +161,10 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     default = DEFAULT_CAP if args.extended else CLI_DEFAULT_CAP
     if args.command == "verify":
         default = max(default, _DEFAULT_N_MAX[args.claim])
-    return configured_cap(args.cap, default=default)
+    if args.cap is not None:
+        return args.cap
+    env = _env_int(_ENV_CAP)
+    return default if env is None else env
 
 
 # --- oracle result cache -----------------------------------------------------
@@ -230,22 +245,31 @@ def _oracle_count(
     from .enumeration import EnumerationRequest, run_enumeration
     from .patterns import pattern_label
 
-    if cache_path:  # only a cache needs the key
-        labels = [pattern_label(q) for q in patterns]
-        key = _cache_key(n, labels, cyclic)
-        hit = cache_lookup(cache_path, key)
-        if hit is not None:
-            return hit["count"]
-    req = EnumerationRequest(n=n, patterns=patterns, cyclic_only=cyclic)
+    if not cache_path:
+        return run_enumeration(EnumerationRequest(n, patterns, cyclic), cap=cap).count
+    labels = [pattern_label(q) for q in patterns]
+    key = _cache_key(n, labels, cyclic)
+    hit = cache_lookup(cache_path, key)
+    if hit is not None:
+        return hit["count"]
+    req = EnumerationRequest(n, patterns, cyclic)
+    _write_cache(cache_path, None)  # refuse a cache that cannot be written before the search
     result = run_enumeration(req, cap=cap)
-    if cache_path:
-        record = {"key": key, "n": n, "patterns": labels, "cyclic": cyclic,
-                  "count": result.count, "nodes": result.nodes_visited}
-        try:
-            cache_append(cache_path, record)
-        except OSError as exc:
-            raise BadSetting(f"--cache {cache_path}: {exc.strerror or exc}") from None
+    _write_cache(cache_path, {"key": key, "n": n, "patterns": labels, "cyclic": cyclic,
+                              "count": result.count, "nodes": result.nodes_visited})
     return result.count
+
+
+def _write_cache(path: str, record: dict | None) -> None:
+    """Append ``record`` to the cache, or with None only open it for
+    appending; an OSError, such as a name too long, is a usage error."""
+    try:
+        if record is None:
+            open(path, "ab").close()
+        else:
+            cache_append(path, record)
+    except OSError as exc:
+        raise BadSetting(f"--cache {path}: {exc.strerror or exc}") from None
 
 
 # --- subcommands: each prints its output and returns its exit code -----------

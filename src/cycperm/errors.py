@@ -1,15 +1,14 @@
-"""Exception types shared across the package, and the oracle-cap rule.
+"""Exception types shared across the package, and the oracle-cap check.
 
 Every error caused by bad input derives from UsageError, a ValueError, so
 callers can either catch the specific condition or treat everything as a
 bad-input error; the CLI maps UsageError to exit 64 and any other
-CycpermError to exit 1. The cap rule lives here, beside the errors it
-raises, because every CLI subcommand resolves the cap and this module
-imports nothing heavy.
+CycpermError to exit 1. The cap check lives here, beside the error it
+raises, because this module imports nothing heavy. It reads no setting: a
+library call takes its cap as an argument, and only the CLI reads the
+environment.
 """
 from __future__ import annotations
-
-import os
 
 
 class CycpermError(Exception):
@@ -68,36 +67,18 @@ class PreconditionViolated(UsageError):
     """An operation's stated hypothesis does not hold for the input."""
 
 
-#: Largest n the oracle accepts unless overridden (config, not a constant:
-#: raise via the cap argument, CYCPERM_ORACLE_CAP, or the CLI --cap flag).
+#: Largest n the oracle accepts when a call passes no cap (config, not a
+#: constant: a library call raises it with its cap argument; the CLI with
+#: --cap, CYCPERM_ORACLE_CAP or --extended).
 DEFAULT_CAP = 13
-
-_ENV_CAP = "CYCPERM_ORACLE_CAP"
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadSetting(f"{name} must be an integer, got {raw!r}") from None
-
-
-def configured_cap(explicit: int | None = None, default: int = DEFAULT_CAP) -> int:
-    """The oracle cap: explicit value, then CYCPERM_ORACLE_CAP, then default."""
-    if explicit is not None:
-        return explicit
-    env = _env_int(_ENV_CAP)
-    return default if env is None else env
 
 
 def check_cap(n: int, cap: int | None = None) -> None:
-    """Refuse an n above the oracle cap; every cap refusal reads this way."""
-    limit = configured_cap(cap)
+    """Refuse an n above the oracle cap (DEFAULT_CAP when none is given);
+    every cap refusal reads this way."""
+    limit = DEFAULT_CAP if cap is None else cap
     if n > limit:
         raise LimitExceeded(
-            f"n={n} exceeds the oracle cap {limit}; raise it with --cap/{_ENV_CAP} "
+            f"n={n} exceeds the oracle cap {limit}; raise it with --cap/CYCPERM_ORACLE_CAP "
             "or --extended if you accept the runtime"
         )

@@ -19,13 +19,8 @@ import time
 from typing import Iterable, Optional
 
 from ._record import Record
-from .enumeration import (
-    EnumerationRequest,
-    check_cap,
-    list_cyclic_avoiders,
-    run_enumeration,
-)
-from .errors import LimitExceeded, PreconditionViolated
+from .enumeration import EnumerationRequest, list_cyclic_avoiders, run_enumeration
+from .errors import LimitExceeded, PreconditionViolated, check_cap
 from .formulas import PairFormulaId, count_123_231, pair_count
 from .layered import all_triples, classify_triple_formula, is_good_triple_direct
 from .patterns import (

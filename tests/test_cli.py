@@ -309,6 +309,32 @@ def test_a_write_the_os_refuses_exits_64(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_cache_is_refused_before_the_search(tmp_path, monkeypatch, capsys):
+    from cycperm import enumeration
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing the cache")
+
+    monkeypatch.setattr(enumeration, "run_enumeration", no_search)
+    path = str(tmp_path / ("x" * 300))
+    assert cli.main(["count", "--n", "5", "--avoid", "123", "--cache", path]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"cycperm: error: --cache {path}: ")
+
+
+@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                    reason="root ignores the mode bits")
+def test_read_only_cache_still_serves_its_hits(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    argv = ["count", "--n", "5", "--avoid", "123", "--cache", str(cache)]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    cache.chmod(0o444)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first == "n\t123\n5\t10\n"
+
+
 @pytest.mark.parametrize("seq, argv", [
     ("A309563", ("formula", "--pair", "123,231")),
     ("A309504", ("count", "--avoid", "123")),

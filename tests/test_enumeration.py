@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracle_ref import ref_count, ref_is_cyclic, ref_list
 
-from cycperm import _kernels
+from cycperm import _kernels, cli
 from cycperm.enumeration import (
     EnumerationRequest,
     count_avoiders,
@@ -131,11 +131,13 @@ def test_cap_enforced():
     ).count == 4
 
 
-def test_cap_env_override(monkeypatch):
+def test_cap_env_override(monkeypatch, capsys):
+    # Only the CLI reads CYCPERM_ORACLE_CAP; a library call takes its cap
+    # as an argument and defaults to DEFAULT_CAP.
     monkeypatch.setenv("CYCPERM_ORACLE_CAP", "5")
-    with pytest.raises(LimitExceeded):
-        _cyclic(6, ("123",))
-    assert _cyclic(5, ("123",)).count == 10
+    assert _cyclic(6, ("123",)).count == 24
+    assert cli.main(["count", "--n", "6", "--avoid", "123"]) == 64
+    assert "exceeds the oracle cap 5" in capsys.readouterr().err
 
 
 def test_request_validation():

@@ -1,5 +1,7 @@
 """Conjecture checks, the insertion construction, and table reproduction."""
+import itertools
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -21,8 +23,10 @@ from cycperm.harness import (
     insertion_construction,
     reproduce_table_one,
 )
-from cycperm.patterns import avoids_all, parse_pattern
+from cycperm.patterns import avoids_all, parse_pattern, pattern_label
 from cycperm.perm import is_cyclic, make_permutation
+
+EXTENDED = os.environ.get("CYCPERM_EXTENDED", "") == "1"
 
 
 def test_reproduce_table_one_matches_golden():
@@ -126,6 +130,41 @@ def test_insertion_theorem_small(label):
     assert rep.passed, rep.counterexamples
     assert rep.ns == tuple(range(3, 7))
     assert rep.notes  # records the n = 2 caveat instead of asserting it
+
+
+def _insertion_family(k):
+    """The patterns of length k that the insertion theorem covers, in
+    lexicographic order, generated from its hypothesis."""
+    return [q for q in map(make_permutation, itertools.permutations(range(1, k + 1)))
+            if harness._insertion_hypothesis_failure(q) is None]
+
+
+def test_insertion_family_sizes():
+    assert [len(_insertion_family(k)) for k in range(3, 7)] == [1, 4, 12, 40]
+    assert {pattern_label(q) for k in (3, 4) for q in _insertion_family(k)} == set(
+        INSERTION_PATTERNS
+    )
+    assert [pattern_label(q) for q in _insertion_family(5)] == [
+        "12543", "14523", "15342", "15432", "21543", "35142",
+        "42513", "45312", "52341", "52431", "53241", "54321",
+    ]
+
+
+@pytest.mark.parametrize("q", _insertion_family(5), ids=pattern_label)
+def test_insertion_theorem_length_five_family(q):
+    rep = check_insertion_theorem(q, 8)
+    assert rep.passed, rep.counterexamples
+    assert rep.ns == tuple(range(3, 8))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended range gated behind CYCPERM_EXTENDED=1")
+def test_insertion_theorem_length_six_family():
+    failed = {}
+    for q in _insertion_family(6):
+        rep = check_insertion_theorem(q, 8)
+        if not rep.passed or rep.ns != tuple(range(3, 8)):
+            failed[pattern_label(q)] = rep.counterexamples
+    assert not failed
 
 
 def test_insertion_check_keeps_no_set_of_images(monkeypatch):

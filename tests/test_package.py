@@ -1,6 +1,8 @@
 """The package's public names: resolved on first use, each one the object
-its submodule defines."""
+its submodule defines. Only the CLI reads the environment."""
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,10 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cycperm.no_such_name
     assert not hasattr(cycperm, "count_cyclic")
+
+
+def test_only_the_cli_reads_the_environment():
+    package = Path(cycperm.__file__).parent
+    readers = sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
+                     if re.search(r"os\.environ|getenv", path.read_text()))
+    assert readers == ["cli.py"]
