@@ -19,20 +19,21 @@ import os
 import sys
 
 from .errors import (
-    DEFAULT_CAP,
     BadPattern,
     BadSetting,
     CycpermError,
+    LimitExceeded,
     UnknownSequence,
     UnsupportedPair,
     UsageError,
-    check_cap,
 )
 
 #: Without --extended the oracle stays in the fast range; --extended
 #: unlocks n = 11..DEFAULT_CAP (and prints a runtime warning). An explicit
 #: --cap always wins, then the CYCPERM_ORACLE_CAP environment variable.
+#: The cap is this module's rule: library calls take none and refuse no n.
 CLI_DEFAULT_CAP = 10
+DEFAULT_CAP = 13
 
 _ENV_CAP = "CYCPERM_ORACLE_CAP"
 
@@ -132,6 +133,16 @@ def _require_parent_dir(flag: str, path: str | None) -> None:
         raise BadSetting(f"{flag} {path}: directory {parent} does not exist")
 
 
+def check_cap(n: int, cap: int) -> None:
+    """Refuse an n above the oracle cap, before any search; every cap
+    refusal reads this way."""
+    if n > cap:
+        raise LimitExceeded(
+            f"n={n} exceeds the oracle cap {cap}; raise it with --cap/CYCPERM_ORACLE_CAP "
+            "or --extended if you accept the runtime"
+        )
+
+
 def _env_int(name: str) -> int | None:
     raw = os.environ.get(name)
     if not raw:
@@ -148,8 +159,8 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     then the default (DEFAULT_CAP with --extended, else CLI_DEFAULT_CAP).
     For verify the default also covers the claim's default range, since
     formula-vs-oracle reaches n = 11 and pair-avoider search trees are tiny.
-    This is the only code that reads the environment; every library call
-    is handed the cap it returns."""
+    This is the only code that reads the environment; the handlers enforce
+    the cap it returns with check_cap, and no library call sees it."""
     if args.workers is None:
         _env_int(_ENV_WORKERS)
     cache = getattr(args, "cache", None)
@@ -240,13 +251,13 @@ def cache_append(path: str, record: dict) -> None:
 
 
 def _oracle_count(
-    n: int, patterns: tuple[Pattern, ...], cyclic: bool, cap: int, cache_path: str | None
+    n: int, patterns: tuple[Pattern, ...], cyclic: bool, cache_path: str | None
 ) -> int:
     from .enumeration import EnumerationRequest, run_enumeration
     from .patterns import pattern_label
 
     if not cache_path:
-        return run_enumeration(EnumerationRequest(n, patterns, cyclic), cap=cap).count
+        return run_enumeration(EnumerationRequest(n, patterns, cyclic)).count
     labels = [pattern_label(q) for q in patterns]
     key = _cache_key(n, labels, cyclic)
     hit = cache_lookup(cache_path, key)
@@ -254,7 +265,7 @@ def _oracle_count(
         return hit["count"]
     req = EnumerationRequest(n, patterns, cyclic)
     _write_cache(cache_path, None)  # refuse a cache that cannot be written before the search
-    result = run_enumeration(req, cap=cap)
+    result = run_enumeration(req)
     _write_cache(cache_path, {"key": key, "n": n, "patterns": labels, "cyclic": cyclic,
                               "count": result.count, "nodes": result.nodes_visited})
     return result.count
@@ -332,7 +343,7 @@ def cmd_count(args: argparse.Namespace, cap: int) -> int:
         _warn(args, f"oracle runs above n = {CLI_DEFAULT_CAP} can take minutes (cap {cap})")
     table = CountTable(columns=(label,))
     for n in ns:
-        table.set(n, label, _oracle_count(n, qs, not args.all, cap, args.cache), "oracle")
+        table.set(n, label, _oracle_count(n, qs, not args.all, args.cache), "oracle")
     return _print_table(table, args.format)
 
 
@@ -351,27 +362,31 @@ def _run_claim(
     claim: str, n_max: int, cap: int, pair: str | None = None, avoid: list | None = None
 ) -> list[VerificationReport]:
     """One claim over n <= n_max. ``pair`` restricts formula-vs-oracle to one
-    pair; ``avoid`` replaces the default patterns of the per-pattern claims."""
+    pair; ``avoid`` replaces the default patterns of the per-pattern claims.
+    The arguments are parsed first, then every oracle claim is refused above
+    the cap before any search."""
     from . import harness
     from .patterns import parse_pattern
 
-    if claim == "table1":
-        return [harness.check_table_one(n_max, cap=cap)]
-    if claim == "formula-vs-oracle":
-        pairs = [_pair(pair)] if pair else None
-        return [harness.check_formula_vs_oracle(pairs, n_max, cap=cap)]
     if claim == "triple-formula":
         return [harness.check_triple_formula(n_max)]
-    if claim == "chain":
-        return [harness.check_chain_conjecture(n_max, cap=cap)]
-    check = {
-        "growth": harness.check_growth_bounds,
-        "insertion": harness.check_insertion_theorem,
-        "k-minus-one": harness.check_k_minus_one_question,
-    }[claim]
-    default = harness.INSERTION_PATTERNS if claim == "insertion" else harness.TABLE_ONE_COLUMNS
-    qs = [parse_pattern(a) for a in avoid or default]
-    return [check(q, n_max, cap=cap) for q in qs]
+    # each call is a check and its arguments before n_max
+    if claim == "formula-vs-oracle":
+        calls = [(harness.check_formula_vs_oracle, [_pair(pair)] if pair else None)]
+    elif claim == "table1":
+        calls = [(harness.check_table_one,)]
+    elif claim == "chain":
+        calls = [(harness.check_chain_conjecture,)]
+    else:
+        check = {
+            "growth": harness.check_growth_bounds,
+            "insertion": harness.check_insertion_theorem,
+            "k-minus-one": harness.check_k_minus_one_question,
+        }[claim]
+        default = harness.INSERTION_PATTERNS if claim == "insertion" else harness.TABLE_ONE_COLUMNS
+        calls = [(check, parse_pattern(a)) for a in avoid or default]
+    check_cap(n_max, cap)
+    return [run(*lead, n_max) for run, *lead in calls]
 
 
 def cmd_verify(args: argparse.Namespace, cap: int) -> int:
@@ -385,7 +400,7 @@ def cmd_conjectures(args: argparse.Namespace, cap: int) -> int:
     n_max = args.n_max
     reports = _run_claim("chain", n_max, cap)
     reports += _run_claim("growth", n_max, cap)
-    reports += _run_claim("insertion", min(n_max, 9), cap)
+    reports += _run_claim("insertion", min(n_max, _DEFAULT_N_MAX["insertion"]), cap)
     reports += _run_claim("k-minus-one", n_max, cap)
     return _print_reports(reports, args.format)
 
@@ -452,7 +467,7 @@ def cmd_export(args: argparse.Namespace, cap: int) -> int:
 
         check_cap(args.n_max, cap)
         qs = (parse_pattern(labels[0]),)
-        rows = [(n, _oracle_count(n, qs, True, cap, None)) for n in ns]
+        rows = [(n, _oracle_count(n, qs, True, None)) for n in ns]
     out_path = args.out or f"b{args.seq[1:]}.txt"
     try:
         _write_whole(out_path, format_bfile(rows))

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from ._record import FrozenRecord, Record, set_field
-from .errors import EmptyInput, TooSmall, check_cap
+from .errors import EmptyInput, TooSmall
 from .patterns import Pattern, canonical_patterns
 from .perm import Permutation
 
@@ -54,31 +54,30 @@ class EnumerationResult(Record):
         self.elapsed = elapsed
 
 
-def count_avoiders(req: EnumerationRequest, cap: Optional[int] = None) -> EnumerationResult:
+def count_avoiders(req: EnumerationRequest) -> EnumerationResult:
     """Count all length-n permutations avoiding every pattern in the set."""
     if req.cyclic_only:
         raise ValueError("count_avoiders requires a request with cyclic_only=False")
-    return run_enumeration(req, cap=cap)
+    return run_enumeration(req)
 
 
-def count_cyclic_avoiders(req: EnumerationRequest, cap: Optional[int] = None) -> EnumerationResult:
+def count_cyclic_avoiders(req: EnumerationRequest) -> EnumerationResult:
     """Count the n-cycles (as permutations) avoiding every pattern."""
     if not req.cyclic_only:
         raise ValueError("count_cyclic_avoiders requires a request with cyclic_only=True")
-    return run_enumeration(req, cap=cap)
+    return run_enumeration(req)
 
 
-def list_cyclic_avoiders(
-    n: int, qs: Iterable[Pattern], cap: Optional[int] = None
-) -> list[Permutation]:
+def list_cyclic_avoiders(n: int, qs: Iterable[Pattern]) -> list[Permutation]:
     """All cyclic avoiders of length n, in lexicographic one-line order."""
     req = EnumerationRequest(n=n, patterns=tuple(qs), cyclic_only=True, collect=True)
-    return run_enumeration(req, cap=cap).witnesses
+    return run_enumeration(req).witnesses
 
 
-def run_enumeration(req: EnumerationRequest, cap: Optional[int] = None) -> EnumerationResult:
-    """Execute a request as stated; prefer the count_*/list_* wrappers."""
-    check_cap(req.n, cap)
+def run_enumeration(req: EnumerationRequest) -> EnumerationResult:
+    """Execute a request as stated, at any n; prefer the count_*/list_*
+    wrappers. The oracle cap is the CLI's rule, so nothing here refuses a
+    large n: the search's cost grows with n, and the caller bounds it."""
     t0 = time.perf_counter()
     witnesses = [] if req.collect else None
     count, nodes = _kernels._count_from_root(

@@ -1,12 +1,9 @@
-"""Exception types shared across the package, and the oracle-cap check.
+"""Exception types shared across the package.
 
 Every error caused by bad input derives from UsageError, a ValueError, so
 callers can either catch the specific condition or treat everything as a
 bad-input error; the CLI maps UsageError to exit 64 and any other
-CycpermError to exit 1. The cap check lives here, beside the error it
-raises, because this module imports nothing heavy. It reads no setting: a
-library call takes its cap as an argument, and only the CLI reads the
-environment.
+CycpermError to exit 1.
 """
 from __future__ import annotations
 
@@ -36,7 +33,8 @@ class BadPattern(UsageError):
 
 
 class LimitExceeded(UsageError):
-    """A requested n lies above the configured oracle cap."""
+    """A requested n lies above a limit: the CLI's oracle cap, or the end of
+    the embedded reference table."""
 
 
 class BadSetting(UsageError):
@@ -65,20 +63,3 @@ class InternalInconsistency(CycpermError, RuntimeError):
 
 class PreconditionViolated(UsageError):
     """An operation's stated hypothesis does not hold for the input."""
-
-
-#: Largest n the oracle accepts when a call passes no cap (config, not a
-#: constant: a library call raises it with its cap argument; the CLI with
-#: --cap, CYCPERM_ORACLE_CAP or --extended).
-DEFAULT_CAP = 13
-
-
-def check_cap(n: int, cap: int | None = None) -> None:
-    """Refuse an n above the oracle cap (DEFAULT_CAP when none is given);
-    every cap refusal reads this way."""
-    limit = DEFAULT_CAP if cap is None else cap
-    if n > limit:
-        raise LimitExceeded(
-            f"n={n} exceeds the oracle cap {limit}; raise it with --cap/CYCPERM_ORACLE_CAP "
-            "or --extended if you accept the runtime"
-        )

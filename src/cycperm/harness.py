@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 from ._record import Record
 from .enumeration import EnumerationRequest, list_cyclic_avoiders, run_enumeration
-from .errors import LimitExceeded, PreconditionViolated, check_cap
+from .errors import LimitExceeded, PreconditionViolated, TooSmall
 from .formulas import PairFormulaId, count_123_231, pair_count
 from .layered import all_triples, classify_triple_formula, is_good_triple_direct
 from .patterns import (
@@ -97,6 +97,10 @@ class VerificationReport(Record):
             self.counterexamples.append((n, detail))
 
     def done(self) -> VerificationReport:
+        """Stamp the run time; a report that checked no n is refused, since
+        it would pass without evidence."""
+        if not self.status:
+            raise TooSmall(f"{self.claim}: the requested range holds no n to check")
         self.elapsed = time.perf_counter() - self._t0
         return self
 
@@ -128,12 +132,13 @@ _COUNT_CACHE: dict[tuple, int] = {}
 
 
 def cyclic_count(patterns: Iterable[Pattern], n: int) -> int:
-    """Oracle count with an in-process memo. Callers validate caps."""
+    """Oracle count with an in-process memo, at any n (the cap is the
+    CLI's rule)."""
     qs = canonical_patterns(patterns)
     key = (tuple(q.entries for q in qs), n)
     if key not in _COUNT_CACHE:
         req = EnumerationRequest(n=n, patterns=qs, cyclic_only=True)
-        _COUNT_CACHE[key] = run_enumeration(req, cap=n).count
+        _COUNT_CACHE[key] = run_enumeration(req).count
     return _COUNT_CACHE[key]
 
 
@@ -141,11 +146,10 @@ def cyclic_count(patterns: Iterable[Pattern], n: int) -> int:
 # compatibility only; the oracle runs on one thread.
 
 
-def reproduce_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1):
+def reproduce_table_one(n_max: int, workers: int = 1):
     """Oracle counts for the six single patterns, n = 3..n_max, as a table."""
     from .tables import CountTable
 
-    check_cap(n_max, cap)
     table = CountTable(columns=TABLE_ONE_COLUMNS)
     for n in range(3, n_max + 1):
         for label in TABLE_ONE_COLUMNS:
@@ -153,11 +157,10 @@ def reproduce_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1)
     return table
 
 
-def check_table_one(n_max: int, cap: Optional[int] = None, workers: int = 1) -> VerificationReport:
+def check_table_one(n_max: int, workers: int = 1) -> VerificationReport:
     """Oracle vs the embedded reference table, cell for cell."""
     if n_max > max(TABLE_ONE):
         raise LimitExceeded(f"reference values are embedded only through n = {max(TABLE_ONE)}")
-    check_cap(n_max, cap)
     rep = VerificationReport("TableOne")
     for n in range(3, n_max + 1):
         for label, expected in zip(TABLE_ONE_COLUMNS, TABLE_ONE[n]):
@@ -170,11 +173,9 @@ def check_formula_vs_oracle(
     pairs: Optional[Iterable[PairFormulaId]] = None,
     n_max: int = 11,
     n_min: int = 3,
-    cap: Optional[int] = None,
     workers: int = 1,
 ) -> VerificationReport:
     """Closed forms against the oracle for every supported pair."""
-    check_cap(n_max, cap)
     rep = VerificationReport("FormulaVsOracle")
     pair_list = list(pairs) if pairs is not None else list(PairFormulaId)
     for n in range(n_min, n_max + 1):
@@ -208,11 +209,8 @@ def check_triple_formula(n_max: int = 60) -> VerificationReport:
     return rep.done()
 
 
-def check_chain_conjecture(
-    n_max: int, cap: Optional[int] = None, workers: int = 1
-) -> VerificationReport:
+def check_chain_conjecture(n_max: int, workers: int = 1) -> VerificationReport:
     """The conjectured ordering among the six single-pattern counts."""
-    check_cap(n_max, cap)
     rep = VerificationReport("ChainConjecture")
     for n in range(3, n_max + 1):
         c = {label: cyclic_count([parse_pattern(label)], n) for label in TABLE_ONE_COLUMNS}
@@ -222,13 +220,10 @@ def check_chain_conjecture(
     return rep.done()
 
 
-def check_growth_bounds(
-    q: Pattern, n_max: int, cap: Optional[int] = None, workers: int = 1
-) -> VerificationReport:
+def check_growth_bounds(q: Pattern, n_max: int, workers: int = 1) -> VerificationReport:
     """Conjectured bounds 2*C_n <= C_{n+1} <= 4*C_n for a single pattern."""
     if len(q) != 3:
         raise PreconditionViolated("growth bounds are stated for patterns of length 3")
-    check_cap(n_max, cap)
     rep = VerificationReport("GrowthBounds")
     label = pattern_label(q)
     prev = cyclic_count([q], 3)
@@ -274,9 +269,7 @@ def insertion_construction(p: Permutation, q: Pattern) -> Permutation:
     return Permutation(p.entries[: n - 1] + (n + 1,) + (p.entries[n - 1],))
 
 
-def check_insertion_theorem(
-    q: Pattern, n_max: int, cap: Optional[int] = None, workers: int = 1
-) -> VerificationReport:
+def check_insertion_theorem(q: Pattern, n_max: int, workers: int = 1) -> VerificationReport:
     """The doubling construction, end to end, for 3 <= n < n_max.
 
     Each oracle witness p of length n is checked where it is listed, and no
@@ -296,7 +289,6 @@ def check_insertion_theorem(
     failure = _insertion_hypothesis_failure(q)
     if failure is not None:
         raise PreconditionViolated(failure)
-    check_cap(n_max, cap)
     rep = VerificationReport("InsertionTheorem")
     rep.notes.append(
         "checks start at n = 3; at n = 2 the next-to-last position is the "
@@ -304,7 +296,7 @@ def check_insertion_theorem(
     )
     label = pattern_label(q)
     for n in range(3, n_max):
-        avoiders = list_cyclic_avoiders(n, [q], cap=n)
+        avoiders = list_cyclic_avoiders(n, [q])
         problems, prev = [], ()
         for p in avoiders:
             if p.entries <= prev:
@@ -329,16 +321,13 @@ def check_insertion_theorem(
     return rep.done()
 
 
-def check_k_minus_one_question(
-    q: Pattern, n_max: int, cap: Optional[int] = None, workers: int = 1
-) -> VerificationReport:
+def check_k_minus_one_question(q: Pattern, n_max: int, workers: int = 1) -> VerificationReport:
     """Recorded evidence for (k-1) C_n(q) <= C_{n+1}(q), k <= n < n_max."""
     k = len(q)
     if k < 3:
         raise PreconditionViolated(
             f"the growth question is stated for patterns of length >= 3, got {k}"
         )
-    check_cap(n_max, cap)
     rep = VerificationReport("KMinusOneQuestion")
     label = pattern_label(q)
     for n in range(k, n_max):

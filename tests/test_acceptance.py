@@ -104,11 +104,10 @@ def test_criterion_4_structural_completeness():
     ok = True
     for n in range(3, 12):
         built = {permutation_of_triple(t) for t in enumerate_good_triples(n)}
-        oracle = set(list_cyclic_avoiders(n, PAIR_123_231, cap=n))
+        oracle = set(list_cyclic_avoiders(n, PAIR_123_231))
         ok = ok and built == oracle
         every = run_enumeration(
-            EnumerationRequest(n=n, patterns=PAIR_123_231, cyclic_only=False, collect=True),
-            cap=n,
+            EnumerationRequest(n=n, patterns=PAIR_123_231, cyclic_only=False, collect=True)
         ).witnesses
         for p in every:
             t = triple_of_permutation(p)
@@ -144,7 +143,7 @@ def test_criterion_6_inversion_formula():
             if n % 2 == 0 and is_good_triple_direct(t):
                 even_cyclic.append(p)
     for n in (4, 6, 8):
-        even_cyclic.extend(list_cyclic_avoiders(n, [parse_pattern("321")], cap=n))
+        even_cyclic.extend(list_cyclic_avoiders(n, [parse_pattern("321")]))
     ok = ok and all(inversion_count(p) % 2 == 1 for p in even_cyclic)
     _report(6, "inversion formula matches direct count, n = 3..60; even-length "
                "cycles have odd inversions", ok, t0)
@@ -154,7 +153,7 @@ def test_criterion_7_insertion_theorem():
     t0 = time.perf_counter()
     ok = True
     for label in INSERTION_PATTERNS:
-        rep = check_insertion_theorem(parse_pattern(label), 9, cap=9)
+        rep = check_insertion_theorem(parse_pattern(label), 9)
         ok = ok and rep.passed and rep.ns == tuple(range(3, 9))
     _report(7, "insertion doubling: S, T sizes, disjointness, membership, "
                "growth for 5 patterns, n = 3..8", ok, t0)
@@ -162,9 +161,9 @@ def test_criterion_7_insertion_theorem():
 
 def test_criterion_8_conjecture_evidence():
     t0 = time.perf_counter()
-    ok = check_chain_conjecture(10, cap=10).passed
+    ok = check_chain_conjecture(10).passed
     for label in TABLE_ONE_COLUMNS:
-        ok = ok and check_growth_bounds(parse_pattern(label), 10, cap=10).passed
+        ok = ok and check_growth_bounds(parse_pattern(label), 10).passed
     _report(8, "chain conjecture and 2x/4x growth bounds hold for n <= 10", ok, t0)
 
 

@@ -211,6 +211,59 @@ def test_verify_explicit_cap_is_binding():
     assert proc.returncode == 64
 
 
+_ORACLE_CLAIMS = sorted(set(cli._DEFAULT_N_MAX) - {"triple-formula"})
+_CAP_REFUSAL = ("cycperm: error: n={n} exceeds the oracle cap {cap}; raise it with "
+                "--cap/CYCPERM_ORACLE_CAP or --extended if you accept the runtime\n")
+
+
+# the CLI alone enforces the cap, so it must refuse before the library runs
+@pytest.mark.parametrize("argv", [
+    *(["verify", "--claim", claim, "--n-max", "6", "--cap", "5"] for claim in _ORACLE_CLAIMS),
+    ["conjectures", "--n-max", "6", "--cap", "5"],
+], ids=[*_ORACLE_CLAIMS, "conjectures"])
+def test_oracle_claims_are_refused_above_the_cap_before_any_search(monkeypatch, capsys, argv):
+    from cycperm import enumeration, harness
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched above the cap")
+
+    for module, name in ((harness, "cyclic_count"), (harness, "list_cyclic_avoiders"),
+                         (enumeration, "run_enumeration")):
+        monkeypatch.setattr(module, name, no_search)
+    assert cli.main(argv) == 64
+    assert capsys.readouterr() == ("", _CAP_REFUSAL.format(n=6, cap=5))
+
+
+# with two usage errors the cap is reported first, ahead of the claim's own
+# limit (Table 1's reference data ends at n = 12) or precondition
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "table1", "--n-max", "13"],
+    ["verify", "--claim", "growth", "--avoid", "4321", "--n-max", "13"],
+], ids=["table1", "growth"])
+def test_the_cap_is_the_first_of_two_usage_errors(capsys, argv):
+    assert cli.main([*argv, "--quiet"]) == 64
+    assert capsys.readouterr() == ("", _CAP_REFUSAL.format(n=13, cap=10))
+
+
+# a claim whose range holds no n would pass without evidence
+@pytest.mark.parametrize("argv, claim", [
+    (["verify", "--claim", "insertion", "--avoid", "4231", "--n-max", "3"], "InsertionTheorem"),
+    (["verify", "--claim", "table1", "--n-max", "2"], "TableOne"),
+    (["verify", "--claim", "triple-formula", "--n-max", "2"], "TripleFormula"),
+    (["conjectures", "--n-max", "3"], "GrowthBounds"),
+], ids=["insertion", "table1", "triple-formula", "conjectures"])
+def test_a_claim_over_an_empty_range_is_refused(capsys, argv, claim):
+    assert cli.main(argv) == 64
+    assert capsys.readouterr() == (
+        "", f"cycperm: error: {claim}: the requested range holds no n to check\n")
+
+
+def test_conjectures_from_the_smallest_nonempty_range_pass(capsys):
+    assert cli.main(["conjectures", "--n-max", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": pass") == 18 and "FAIL" not in out
+
+
 def test_verify_triple_formula():
     proc = run_cli("verify", "--claim", "triple-formula", "--n-max", "30")
     assert proc.returncode == 0
@@ -722,8 +775,8 @@ def test_bad_oracle_witness_fails_insertion_check(monkeypatch, capsys):
 
     real = harness.list_cyclic_avoiders
 
-    def with_identity(n, qs, cap=None):
-        return real(n, qs, cap=cap) + [Permutation(tuple(range(1, n + 1)))]
+    def with_identity(n, qs):
+        return real(n, qs) + [Permutation(tuple(range(1, n + 1)))]
 
     monkeypatch.setattr(harness, "list_cyclic_avoiders", with_identity)
     code = cli.main(["verify", "--claim", "insertion", "--avoid", "321", "--n-max", "5"])
@@ -739,8 +792,8 @@ def test_repeated_oracle_witness_fails_insertion_check(monkeypatch, capsys):
 
     real = harness.list_cyclic_avoiders
 
-    def first_twice(n, qs, cap=None):
-        found = real(n, qs, cap=cap)
+    def first_twice(n, qs):
+        found = real(n, qs)
         return found[:1] + found
 
     monkeypatch.setattr(harness, "list_cyclic_avoiders", first_twice)

@@ -18,7 +18,8 @@ from cycperm.enumeration import (
     list_cyclic_avoiders,
     run_enumeration,
 )
-from cycperm.errors import EmptyInput, LimitExceeded, TooSmall
+from cycperm.errors import EmptyInput, TooSmall
+from cycperm.formulas import count_123_231
 from cycperm.patterns import LENGTH3_PATTERNS, avoids_all, parse_pattern
 from cycperm.perm import is_cyclic, make_permutation
 
@@ -118,22 +119,14 @@ def test_nodes_and_elapsed_populated():
     assert res.elapsed >= 0.0
 
 
-def test_cap_enforced():
-    with pytest.raises(LimitExceeded):
-        _cyclic(99, ("123",))
-    with pytest.raises(LimitExceeded):
-        count_cyclic_avoiders(
-            EnumerationRequest(n=7, patterns=(parse_pattern("123"),)), cap=6
-        )
-    # explicit cap also relaxes
-    assert count_cyclic_avoiders(
-        EnumerationRequest(n=4, patterns=(parse_pattern("123"),)), cap=4
-    ).count == 4
+def test_library_runs_past_the_cli_cap():
+    # The cap is the CLI's rule; the oracle itself refuses no n.
+    req = EnumerationRequest(n=14, patterns=(parse_pattern("123"), parse_pattern("231")))
+    assert count_cyclic_avoiders(req).count == count_123_231(14) == 8
 
 
 def test_cap_env_override(monkeypatch, capsys):
-    # Only the CLI reads CYCPERM_ORACLE_CAP; a library call takes its cap
-    # as an argument and defaults to DEFAULT_CAP.
+    # Only the CLI reads CYCPERM_ORACLE_CAP; a library call takes no cap.
     monkeypatch.setenv("CYCPERM_ORACLE_CAP", "5")
     assert _cyclic(6, ("123",)).count == 24
     assert cli.main(["count", "--n", "6", "--avoid", "123"]) == 64

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from cycperm import harness
-from cycperm.errors import LimitExceeded, PreconditionViolated
+from cycperm.errors import LimitExceeded, PreconditionViolated, TooSmall
 from cycperm.formulas import PairFormulaId
 from cycperm.harness import (
     INSERTION_PATTERNS,
@@ -193,9 +193,24 @@ def test_k_minus_one_question():
         check_k_minus_one_question(parse_pattern("21"), 8)
 
 
-def test_cap_checked():
-    with pytest.raises(LimitExceeded):
-        check_chain_conjecture(9, cap=8)
+def test_checks_run_past_the_cli_cap():
+    rep = check_formula_vs_oracle([PairFormulaId.P123_231], n_max=16, n_min=14)
+    assert rep.passed and rep.ns == (14, 15, 16)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: check_table_one(2), id="table1"),
+    pytest.param(lambda: check_formula_vs_oracle(n_max=2), id="formula-vs-oracle"),
+    pytest.param(lambda: check_triple_formula(2), id="triple-formula"),
+    pytest.param(lambda: check_chain_conjecture(2), id="chain"),
+    pytest.param(lambda: check_growth_bounds(parse_pattern("123"), 3), id="growth"),
+    pytest.param(lambda: check_insertion_theorem(parse_pattern("4231"), 3), id="insertion"),
+    pytest.param(lambda: check_k_minus_one_question(parse_pattern("1234"), 4),
+                 id="k-minus-one"),
+])
+def test_a_check_over_an_empty_range_is_refused(call):
+    with pytest.raises(TooSmall, match="the requested range holds no n to check"):
+        call()
 
 
 def test_report_serialization():

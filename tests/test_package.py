@@ -1,6 +1,8 @@
 """The package's public names: resolved on first use, each one the object
-its submodule defines. Only the CLI reads the environment."""
+its submodule defines. Only the CLI reads the environment and knows the
+oracle cap."""
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -57,3 +59,17 @@ def test_only_the_cli_reads_the_environment():
     readers = sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
                      if re.search(r"os\.environ|getenv", path.read_text()))
     assert readers == ["cli.py"]
+
+
+def test_only_the_cli_knows_the_oracle_cap():
+    from cycperm import enumeration, harness
+
+    for module in (enumeration, harness):
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                    and not name.startswith("_")):
+                assert "cap" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"
+    package = Path(cycperm.__file__).parent
+    namers = sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
+                    if re.search(r"\b(check_cap|DEFAULT_CAP)\b", path.read_text()))
+    assert namers == ["cli.py"]
