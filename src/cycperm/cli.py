@@ -358,18 +358,18 @@ def cmd_formula(args: argparse.Namespace, cap: int) -> int:
     return _print_table(table, args.format)
 
 
-def _run_claim(
+def _claim_calls(
     claim: str, n_max: int, cap: int, pair: str | None = None, avoid: list | None = None
-) -> list[VerificationReport]:
-    """One claim over n <= n_max. ``pair`` restricts formula-vs-oracle to one
-    pair; ``avoid`` replaces the default patterns of the per-pattern claims.
-    The arguments are parsed first, then every oracle claim is refused above
-    the cap before any search."""
+) -> list[tuple]:
+    """The checks one claim runs over n <= n_max, each with its arguments.
+    ``pair`` restricts formula-vs-oracle to one pair; ``avoid`` replaces the
+    default patterns of the per-pattern claims. The arguments are parsed
+    first, then every oracle claim is refused above the cap."""
     from . import harness
     from .patterns import parse_pattern
 
     if claim == "triple-formula":
-        return [harness.check_triple_formula(n_max)]
+        return [(harness.check_triple_formula, n_max)]
     # each call is a check and its arguments before n_max
     if claim == "formula-vs-oracle":
         calls = [(harness.check_formula_vs_oracle, [_pair(pair)] if pair else None)]
@@ -386,14 +386,21 @@ def _run_claim(
         default = harness.INSERTION_PATTERNS if claim == "insertion" else harness.TABLE_ONE_COLUMNS
         calls = [(check, parse_pattern(a)) for a in avoid or default]
     check_cap(n_max, cap)
-    return [run(*lead, n_max) for run, *lead in calls]
+    return [(*call, n_max) for call in calls]
+
+
+def _run_claim(claim: str, n_max: int, cap: int) -> list[VerificationReport]:
+    """One claim over n <= n_max with its default patterns, refused above
+    the cap before any search."""
+    return [run(*rest) for run, *rest in _claim_calls(claim, n_max, cap)]
 
 
 def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[args.claim]
+    calls = _claim_calls(args.claim, n_max, cap, args.pair, args.avoid)
     if n_max > CLI_DEFAULT_CAP and args.claim != "triple-formula":
         _warn(args, f"oracle-backed verification up to n = {n_max} can take minutes")
-    return _print_reports(_run_claim(args.claim, n_max, cap, args.pair, args.avoid), args.format)
+    return _print_reports([run(*rest) for run, *rest in calls], args.format)
 
 
 def cmd_conjectures(args: argparse.Namespace, cap: int) -> int:

@@ -3,7 +3,8 @@
 Counts (and optionally lists) permutations of length n avoiding a pattern
 set, either over all permutations or restricted to single n-cycles. The
 search is pruned backtracking over one-line prefixes, one kernel call per
-request; see _kernels for the search itself.
+request; see _kernels for the search itself. Witnesses are either listed
+in the result or streamed, one at a time, to a caller's sink.
 
 The oracle is deliberately independent of every closed-form formula in
 this package so the two can be checked against each other.
@@ -74,14 +75,24 @@ def list_cyclic_avoiders(n: int, qs: Iterable[Pattern]) -> list[Permutation]:
     return run_enumeration(req).witnesses
 
 
-def run_enumeration(req: EnumerationRequest) -> EnumerationResult:
+def run_enumeration(req: EnumerationRequest, sink=None) -> EnumerationResult:
     """Execute a request as stated, at any n; prefer the count_*/list_*
     wrappers. The oracle cap is the CLI's rule, so nothing here refuses a
-    large n: the search's cost grows with n, and the caller bounds it."""
+    large n: the search's cost grows with n, and the caller bounds it.
+
+    A collecting request lists its witnesses in the result, unless the
+    caller passes a ``sink``: then the search hands each witness's one-line
+    tuple to ``sink.append`` as it finds it, in lexicographic order, and
+    the result's ``witnesses`` is None.
+    """
+    if sink is not None and not req.collect:
+        raise ValueError("a witness sink requires a request with collect=True")
     t0 = time.perf_counter()
-    witnesses = [] if req.collect else None
+    witnesses = None
+    if req.collect and sink is None:
+        sink = witnesses = []
     count, nodes = _kernels._count_from_root(
-        req.n, [q.entries for q in req.patterns], req.cyclic_only, witnesses
+        req.n, [q.entries for q in req.patterns], req.cyclic_only, sink
     )
     return EnumerationResult(
         count=count,

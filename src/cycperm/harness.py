@@ -19,7 +19,7 @@ import time
 from typing import Iterable, Optional
 
 from ._record import Record
-from .enumeration import EnumerationRequest, list_cyclic_avoiders, run_enumeration
+from .enumeration import EnumerationRequest, run_enumeration
 from .errors import LimitExceeded, PreconditionViolated, TooSmall
 from .formulas import PairFormulaId, count_123_231, pair_count
 from .layered import all_triples, classify_triple_formula, is_good_triple_direct
@@ -269,17 +269,52 @@ def insertion_construction(p: Permutation, q: Pattern) -> Permutation:
     return Permutation(p.entries[: n - 1] + (n + 1,) + (p.entries[n - 1],))
 
 
+class _InsertionWitnesses:
+    """The sink of one n's witness stream: each oracle witness p of length
+    n is checked as the search yields it, then dropped; only the count, the
+    last witness and the problems found are kept."""
+
+    def __init__(self, q: Pattern, n: int):
+        self.q = q
+        self.n = n
+        self.count = 0
+        self.prev: tuple[int, ...] = ()
+        self.problems: list[str] = []
+
+    def append(self, entries: tuple[int, ...]) -> None:
+        q, n, problems = self.q, self.n, self.problems
+        p = Permutation(entries)
+        self.count += 1
+        if entries <= self.prev:
+            problems.append(f"oracle witness {p} repeats or breaks the ascending order")
+        self.prev = entries
+        try:
+            s = insertion_construction(p, q)
+        except PreconditionViolated as exc:  # q is valid, so the oracle erred
+            problems.append(f"oracle witness rejected: {exc}")
+            return
+        if s(n) != n + 1 or s.entries[: n - 1] + s.entries[n:] != entries:
+            problems.append(f"constructed permutation {s} is not {p} with {n + 1} "
+                            f"at position {n}")
+        for member in (s, inverse(s)):
+            if not (is_cyclic(member) and avoids_all(member, [q])):
+                problems.append(f"constructed permutation {member} fails re-verification")
+
+
 def check_insertion_theorem(q: Pattern, n_max: int, workers: int = 1) -> VerificationReport:
     """The doubling construction, end to end, for 3 <= n < n_max.
 
-    Each oracle witness p of length n is checked where it is listed, and no
-    set of images is kept. For each n:
+    For each n, one oracle search streams the witnesses of length n, and
+    each witness p is checked as the search yields it; no list of
+    witnesses and no set of images is kept. For each n:
 
     * the witnesses are strictly ascending, so none repeats; s = the
       insertion image of p has n+1 at position n, and deleting it gives p
       back, so the images S and their inverses T number C_n(q) each;
     * s and t = s^-1 are each re-verified: cyclic and q-avoiding;
-    * 2 C_n(q) <= C_{n+1}(q), with C_n(q) the number of witnesses.
+    * 2 C_n(q) <= C_{n+1}(q), with C_n(q) the number of witnesses streamed
+      at n and C_{n+1}(q) the number streamed at n+1; only C_{n_max}(q) is
+      a count of its own, from the memo or one count search.
 
     S and T are disjoint without a test of their own: a t in S would have
     n+1 at position n, so s(n+1) = n; with s(n) = n+1 that is the 2-cycle
@@ -295,29 +330,22 @@ def check_insertion_theorem(q: Pattern, n_max: int, workers: int = 1) -> Verific
         "front of the word, so that case is noted rather than asserted"
     )
     label = pattern_label(q)
-    for n in range(3, n_max):
-        avoiders = list_cyclic_avoiders(n, [q])
-        problems, prev = [], ()
-        for p in avoiders:
-            if p.entries <= prev:
-                problems.append(f"oracle witness {p} repeats or breaks the ascending order")
-            prev = p.entries
-            try:
-                s = insertion_construction(p, q)
-            except PreconditionViolated as exc:  # q is valid, so the oracle erred
-                problems.append(f"oracle witness rejected: {exc}")
-                continue
-            if s(n) != n + 1 or s.entries[: n - 1] + s.entries[n:] != p.entries:
-                problems.append(f"constructed permutation {s} is not {p} with {n + 1} "
-                                f"at position {n}")
-            for member in (s, inverse(s)):
-                if not (is_cyclic(member) and avoids_all(member, [q])):
-                    problems.append(f"constructed permutation {member} fails re-verification")
-        c_n = len(avoiders)
-        c_next = cyclic_count([q], n + 1)
+
+    def record(checked: _InsertionWitnesses, c_next: int) -> None:
+        n, c_n, problems = checked.n, checked.count, checked.problems
         if 2 * c_n > c_next:
             problems.append(f"2*C_{n}({label})={2 * c_n} > C_{n + 1}({label})={c_next}")
         rep.record(n, not problems, "; ".join(problems))
+
+    pending = None  # the last n's witnesses, whose growth check needs C_{n+1}
+    for n in range(3, n_max):
+        checked = _InsertionWitnesses(q, n)
+        run_enumeration(EnumerationRequest(n, (q,), cyclic_only=True, collect=True), checked)
+        if pending is not None:
+            record(pending, checked.count)
+        pending = checked
+    if pending is not None:
+        record(pending, cyclic_count([q], n_max))
     return rep.done()
 
 

@@ -5,14 +5,18 @@ p contains q when some subsequence of p has the same pairwise order
 relations as q. Words with distinct (not necessarily contiguous) integer
 values are supported wherever containment only depends on relative order.
 
-Length-3 patterns get a dedicated O(n^2) scan; longer patterns fall back
-to backtracking subsequence search. At the sizes this package handles
-(n <= 13 in the oracle) both are instant; the harness uses them to
-re-verify the oracle's witnesses independently of its search.
+Length-3 patterns get a dedicated O(n^2) scan. Every other length goes to
+a depth-first subsequence search that fills the pattern's slots left to
+right; a candidate for slot t is compared with two values only, those of
+its value-neighbours among slots 0..t-1 (the slots whose pattern entries
+are just below and just above pat[t]), which are precomputed per pattern.
+The harness uses both to re-verify the oracle's witnesses independently
+of its search, so neither shares code or plans with the kernel.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
 
@@ -132,26 +136,47 @@ def _contains_len3(word: Sequence[int], pat: Sequence[int]) -> bool:
 
 
 def _contains_backtrack(word: Sequence[int], pat: Sequence[int]) -> bool:
-    # Depth-first choice of positions for each pattern slot, checking the
-    # new value's order relation against every already-placed slot.
-    k = len(pat)
+    # Depth-first choice of positions for each pattern slot, left to right.
+    # The new value only has to lie between the values of the slot's two
+    # value-neighbours among the slots already placed (see _slot_bounds).
+    bounds = _slot_bounds(tuple(pat))
+    k = len(bounds)
     n = len(word)
-    chosen: list[int] = []
+    vals = [0] * k + [-inf, inf]  # the placed values, then the two sentinels
 
-    def extend(start: int) -> bool:
-        t = len(chosen)
+    def extend(t: int, start: int) -> bool:
         if t == k:
             return True
-        for c in range(start, n - (k - t) + 1):
+        lo, hi = bounds[t]
+        a, b = vals[lo], vals[hi]
+        for c in range(start, n - k + t + 1):
             w = word[c]
-            if all((pat[s] < pat[t]) == (word[chosen[s]] < w) for s in range(t)):
-                chosen.append(c)
-                if extend(c + 1):
+            if a < w < b:
+                vals[t] = w
+                if extend(t + 1, c + 1):
                     return True
-                chosen.pop()
         return False
 
-    found = extend(0)
+    found = extend(0, 0)
     del extend  # it reaches itself through its cell; freed now, not by the cyclic collector
     return found
 
+
+@lru_cache(maxsize=64)
+def _slot_bounds(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Per slot t, the slots among 0..t-1 whose pattern entries are just
+    below and just above pat[t]; k and k + 1 stand for -inf and +inf.
+
+    When the values in slots 0..t-1 form an occurrence of pat[:t], a new
+    value w in slot t extends it to an occurrence of pat[:t+1] exactly when
+    w lies strictly between the values of those two slots.
+    """
+    k = len(pat)
+    bounds = []
+    for t, x in enumerate(pat):
+        below = [s for s in range(t) if pat[s] < x]
+        above = [s for s in range(t) if pat[s] > x]
+        lo = max(below, key=pat.__getitem__) if below else k
+        hi = min(above, key=pat.__getitem__) if above else k + 1
+        bounds.append((lo, hi))
+    return tuple(bounds)

@@ -227,7 +227,7 @@ def test_oracle_claims_are_refused_above_the_cap_before_any_search(monkeypatch, 
     def no_search(*args, **kwargs):
         raise AssertionError("searched above the cap")
 
-    for module, name in ((harness, "cyclic_count"), (harness, "list_cyclic_avoiders"),
+    for module, name in ((harness, "cyclic_count"), (harness, "run_enumeration"),
                          (enumeration, "run_enumeration")):
         monkeypatch.setattr(module, name, no_search)
     assert cli.main(argv) == 64
@@ -771,14 +771,16 @@ def test_cache_misses_after_kernel_version_changes(tmp_path, monkeypatch, capsys
 
 def test_bad_oracle_witness_fails_insertion_check(monkeypatch, capsys):
     from cycperm import harness
-    from cycperm.perm import Permutation
 
-    real = harness.list_cyclic_avoiders
+    real = harness.run_enumeration
 
-    def with_identity(n, qs):
-        return real(n, qs) + [Permutation(tuple(range(1, n + 1)))]
+    def with_identity(req, sink=None):
+        result = real(req, sink)
+        if sink is not None:  # the streamed search of the insertion check
+            sink.append(tuple(range(1, req.n + 1)))
+        return result
 
-    monkeypatch.setattr(harness, "list_cyclic_avoiders", with_identity)
+    monkeypatch.setattr(harness, "run_enumeration", with_identity)
     code = cli.main(["verify", "--claim", "insertion", "--avoid", "321", "--n-max", "5"])
     out = capsys.readouterr().out
     assert code == 1
@@ -788,22 +790,48 @@ def test_bad_oracle_witness_fails_insertion_check(monkeypatch, capsys):
 
 def test_repeated_oracle_witness_fails_insertion_check(monkeypatch, capsys):
     from cycperm import harness
+    from cycperm.enumeration import list_cyclic_avoiders
     from cycperm.patterns import parse_pattern
 
-    real = harness.list_cyclic_avoiders
+    real = harness.run_enumeration
 
-    def first_twice(n, qs):
-        found = real(n, qs)
-        return found[:1] + found
+    class FirstTwice:
+        def __init__(self, sink):
+            self.sink, self.first = sink, True
 
-    monkeypatch.setattr(harness, "list_cyclic_avoiders", first_twice)
+        def append(self, entries):
+            if self.first:
+                self.first = False
+                self.sink.append(entries)
+            self.sink.append(entries)
+
+    def first_twice(req, sink=None):
+        return real(req, None if sink is None else FirstTwice(sink))
+
+    monkeypatch.setattr(harness, "run_enumeration", first_twice)
     code = cli.main(["verify", "--claim", "insertion", "--avoid", "321", "--n-max", "5"])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("InsertionTheorem: FAIL")
     for n in (3, 4):
-        first = real(n, [parse_pattern("321")])[0]
+        first = list_cyclic_avoiders(n, [parse_pattern("321")])[0]
         assert f"n={n}: oracle witness {first} repeats or breaks the ascending order" in out
+
+
+def test_a_refused_verify_does_not_warn_of_its_runtime():
+    proc = run_cli("verify", "--claim", "table1", "--n-max", "13")
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert proc.stderr == _CAP_REFUSAL.format(n=13, cap=10)
+
+
+def test_a_verify_above_the_default_cap_warns_of_its_runtime():
+    argv = ["verify", "--claim", "formula-vs-oracle", "--pair", "123,231", "--n-max", "11"]
+    proc = run_cli(*argv, "--cap", "11")
+    quiet = run_cli(*argv, "--cap", "11", "--quiet")
+    assert proc.returncode == quiet.returncode == 0
+    assert proc.stdout.startswith("FormulaVsOracle: pass (n = 3..11, ")
+    assert proc.stderr == "cycperm: oracle-backed verification up to n = 11 can take minutes\n"
+    assert quiet.stderr == ""
 
 
 _LABELS = st.sampled_from(["123", "231", "321", "12", "1", "4321", "1432", "1x3", "", "11", "0"])

@@ -100,6 +100,25 @@ def test_witnesses_verified_independently_and_ordered():
             assert [p.entries for p in got] == ref
 
 
+def test_a_sink_receives_the_listed_witnesses_as_they_are_found():
+    qs = (parse_pattern("1432"),)
+
+    class Sink:  # any object with an append method
+        def __init__(self):
+            self.seen = []
+
+        def append(self, entries):
+            self.seen.append(entries)
+
+    sink = Sink()
+    result = run_enumeration(EnumerationRequest(n=7, patterns=qs, collect=True), sink)
+    assert result.witnesses is None
+    assert sink.seen == [p.entries for p in list_cyclic_avoiders(7, qs)]
+    assert result.count == len(sink.seen) > 0
+    with pytest.raises(ValueError, match="collect=True"):
+        run_enumeration(EnumerationRequest(n=7, patterns=qs), Sink())
+
+
 def test_witness_count_matches_counting_path():
     qs = [parse_pattern("132")]
     for n in range(1, 9):

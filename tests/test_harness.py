@@ -183,6 +183,41 @@ def test_insertion_check_keeps_no_set_of_images(monkeypatch):
     assert peak < 200 * 1024
 
 
+def test_insertion_check_searches_once_per_n(monkeypatch):
+    # one streamed search per n = 3..7, whose witness count is also C_n for
+    # the growth check at n - 1, and one count search for C_8
+    from cycperm import _kernels
+
+    calls = []
+    real = _kernels._count_from_root
+
+    def counting(n, patterns, cyclic_only, sink=None):
+        calls.append((n, sink is not None))
+        return real(n, patterns, cyclic_only, sink)
+
+    monkeypatch.setattr(_kernels, "_count_from_root", counting)
+    monkeypatch.setattr(harness, "_COUNT_CACHE", {})
+    rep = check_insertion_theorem(parse_pattern("1432"), 8)
+    assert rep.passed
+    assert calls == [(3, True), (4, True), (5, True), (6, True), (7, True), (8, False)]
+
+
+def test_insertion_check_keeps_no_list_of_witnesses(monkeypatch):
+    # 512 KiB sits between this check (about 16 KiB) and one that lists the
+    # 11,444 witnesses at n = 9 before checking them (about 2,270 KiB)
+    import tracemalloc
+
+    monkeypatch.setattr(harness, "_COUNT_CACHE", {})
+    tracemalloc.start()
+    try:
+        rep = check_insertion_theorem(parse_pattern("1432"), 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 512 * 1024
+
+
 def test_k_minus_one_question():
     rep = check_k_minus_one_question(parse_pattern("123"), 8)
     assert rep.passed and rep.kind == "evidence"

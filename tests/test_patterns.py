@@ -4,10 +4,12 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle_ref import ref_contains
 
 from cycperm.errors import BadPattern
+from cycperm import patterns
 from cycperm.patterns import (
     LENGTH3_PATTERNS,
     avoids_all,
@@ -74,6 +76,26 @@ def test_backtracking_matcher_leaves_no_reference_cycles(pat):
     gc.disable()
     try:
         word_contains((1, 3, 2, 5, 4, 6, 7), pat)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=400, deadline=None)
+@given(pat=st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
+       word=st.lists(st.integers(-40, 40), max_size=12, unique=True))
+def test_contains_matches_reference_on_words_of_distinct_ints(pat, word):
+    # any distinct ints: negatives, gaps, and words shorter than the pattern
+    assert word_contains(word, pat) == ref_contains(word, pat)
+
+
+def test_slot_bound_cache_leaves_no_reference_cycles():
+    patterns._slot_bounds.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for pat in [(1,), (2, 1), (2, 4, 1, 3), (1, 4, 3, 2), (3, 1, 5, 2, 6, 4)]:
+            word_contains((5, 1, 3, 2, 8, 4, 6, 7), pat)
         assert gc.collect() == 0
     finally:
         gc.enable()
