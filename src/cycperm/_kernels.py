@@ -20,6 +20,26 @@ Two sound rules prune the search:
   prefix the search enters forbids any unused value, so the new
   occurrences (those ending at the placed value) are the only ones to
   test, and a value that is still unused is never forbidden itself.
+
+A pattern of length 3 is not matched per candidate. Its new occurrences
+of q[:2] pair the candidate v with one placed value u, and the interval
+each forbids depends on u and v alone, so one mask per node holds every
+v it refuses. With U the placed values and F the unused ones (v among
+them), v is refused exactly when (a rule does nothing when U is empty or
+the value it names does not exist):
+
+* 123 when min U < v < max F: some u < v, and an unused value above v.
+* 132 when v > f, f the least value of F above min U: u = min U
+  forbids the widest interval (u, v), and f lies in it.
+* 213 when v < u, u the greatest value of U below max F: u > v
+  forbids the values above u, and max F is one of them.
+* 231 when v > u, u the least value of U above min F: u < v forbids
+  the values below u, and min F is one of them.
+* 312 when v < f, f the greatest value of F below max U: u = max U
+  forbids the widest interval (v, u), and f lies in it.
+* 321 when min F < v < max U: some u > v, and an unused value below v.
+
+Patterns of length 2 and of length 4 or more keep the per-candidate walk.
 """
 from __future__ import annotations
 
@@ -31,24 +51,33 @@ from typing import Iterable, Optional, Sequence
 #: to what _count_from_root returns, so a cached count never outlives it.
 KERNEL_VERSION = 1
 
+#: The length-3 patterns, in the order of the flags _compile_patterns returns.
+_MASKED = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
+
 
 def _compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
-    """Per pattern, the plan (gaps, lo, hi, k) the search matches it with.
+    """The plans (gaps, lo, hi, k) of the walked patterns, and six flags.
 
-    Returns None when a pattern has length 1, which nothing avoids. For a
-    pattern q of length k >= 2, an occurrence of q[:k-1] that ends at a
-    newly placed value fills slot k-2 with that value and then slots
-    0..k-3 left to right; the value of slot t must lie in the open
-    interval between the values of ``gaps[t]``, the two filled slots whose
-    pattern entries are just below and just above q[t]. Indices k-1 and k
-    stand for the bounds 0 and n + 1. ``lo`` and ``hi`` name that pair for
-    q[k-1] among all k-1 slots: the interval the occurrence forbids.
+    Flag j says that the set holds _MASKED[j], which the per-node mask
+    refuses; every other pattern is walked. Returns None when a pattern
+    has length 1, which nothing avoids. For a walked pattern q of length
+    k = 2 or k >= 4, an occurrence of q[:k-1] that ends at a newly placed
+    value fills slot k-2 with that value and then slots 0..k-3 left to
+    right; the value of slot t must lie in the open interval between the
+    values of ``gaps[t]``, the two filled slots whose pattern entries are
+    just below and just above q[t]. Indices k-1 and k stand for the bounds
+    0 and n + 1. ``lo`` and ``hi`` name that pair for q[k-1] among all k-1
+    slots: the interval the occurrence forbids.
     """
     plans = []
+    masked = set()
     for q in patterns:
         k = len(q)
         if k == 1:
             return None
+        if k == 3:
+            masked.add(tuple(q))
+            continue
         filled = [k - 2]
         gaps = []
         for t in [*range(k - 2), k - 1]:
@@ -60,7 +89,7 @@ def _compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
             filled.append(t)
         *slot_gaps, (lo, hi) = gaps
         plans.append((tuple(slot_gaps), lo, hi, k))
-    return tuple(plans)
+    return tuple(plans), tuple(q in masked for q in _MASKED)
 
 
 @lru_cache(maxsize=16)
@@ -81,9 +110,12 @@ def _count_from_root(
     When sink is a list, each avoider's one-line tuple is appended to it,
     in lexicographic order.
     """
-    plans = _compile_patterns(patterns)
-    if plans is None:
+    compiled = _compile_patterns(patterns)
+    if compiled is None:
         return 0, 0
+    plans, flags = compiled
+    has123, has132, has213, has231, has312, has321 = flags
+    masking = any(flags)
     spans = _spans(n)
     top = n + 1
     last = n - 1
@@ -123,13 +155,37 @@ def _count_from_root(
         i = m + 1  # the one-line position being assigned, 1-based
         closing = start[i] if cyclic_only and m < last else 0
         used = prefix[m]
-        cands = free
+        refused = 1 << closing  # bit 0, no value, when nothing closes
+        if masking and used:
+            u_min = (used & -used).bit_length() - 1
+            u_max = used.bit_length() - 1
+            f_min = (free & -free).bit_length() - 1
+            f_max = free.bit_length() - 1
+            if has123:
+                refused |= spans[u_min][f_max]
+            if has132:
+                f = free & spans[u_min][top]
+                if f:
+                    refused |= spans[(f & -f).bit_length() - 1][top]
+            if has213:
+                u = used & spans[0][f_max]
+                if u:
+                    refused |= spans[0][u.bit_length() - 1]
+            if has231:
+                u = used & spans[f_min][top]
+                if u:
+                    refused |= spans[(u & -u).bit_length() - 1][top]
+            if has312:
+                f = free & spans[0][u_max]
+                if f:
+                    refused |= spans[0][f.bit_length() - 1]
+            if has321:
+                refused |= spans[f_min][u_max]
+        cands = free & ~refused
         while cands:
             bit = cands & -cands
             cands ^= bit
             v = bit.bit_length() - 1
-            if v == closing:
-                continue
             rest = free ^ bit
             for gaps, lo, hi, vals in checks:
                 vals[-3] = v

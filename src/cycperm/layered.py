@@ -159,7 +159,23 @@ def all_triples(n: int):
 
 
 def enumerate_good_triples(n: int) -> list[Triple]:
-    """All good triples summing to n, in lexicographic order."""
+    """All good triples summing to n, in lexicographic order.
+
+    Only the first-layer lengths that classify_triple_formula can accept
+    are visited, so this classifies O(n) triples rather than all O(n^2).
+    """
     if n < 3:
         raise TooSmall(f"good triples need n >= 3, got {n}")
-    return [t for t in all_triples(n) if classify_triple_formula(t).good]
+    if n % 2 == 1:
+        firsts = ((n - 1) // 2,)
+    elif n % 4 == 0:
+        firsts = (n // 2,)
+    else:
+        firsts = (n // 2 - 1, n // 2)
+    good = []
+    for a in firsts:
+        for b in range(1, n - a):
+            t = Triple(a, b, n - a - b)
+            if classify_triple_formula(t).good:
+                good.append(t)
+    return good

@@ -2,10 +2,11 @@
 import gc
 import subprocess
 import sys
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_ref import ref_count, ref_is_cyclic, ref_list
@@ -177,6 +178,10 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
 
 @settings(max_examples=200, deadline=None)
 @given(pats=st.lists(_PATTERN, min_size=1, max_size=3), n=st.integers(1, 7))
+# sets where the length-3 mask and the per-candidate walk run in one search
+@example(pats=[[1, 2, 3], [1, 4, 3, 2]], n=7)
+@example(pats=[[1, 3, 2], [2, 1, 3], [4, 2, 3, 1]], n=7)
+@example(pats=[[2, 1], [2, 3, 1]], n=7)
 def test_search_matches_full_enumeration(pats, n):
     pats = [tuple(p) for p in pats]
     qs = tuple(make_permutation(p) for p in pats)
@@ -191,6 +196,35 @@ def test_search_matches_full_enumeration(pats, n):
         ]
         for r in results:
             assert (r.count, r.nodes_visited) == (want, results[0].nodes_visited)
+
+
+_LENGTH3_SETS = [qs for r in (1, 2, 3)
+                 for qs in combinations([q.entries for q in LENGTH3_PATTERNS], r)]
+
+
+def test_every_set_of_length3_patterns_matches_full_enumeration():
+    # Length-3 patterns are refused by a per-node mask, not matched per
+    # candidate, and the hypothesis test seldom draws a set of them alone.
+    assert len(_LENGTH3_SETS) == 41
+    for qs in _LENGTH3_SETS:
+        pats = tuple(make_permutation(q) for q in qs)
+        for n in range(1, 7):
+            every = ref_list(n, qs, cyclic_only=False)
+            for cyclic_only in (True, False):
+                want = [p for p in every if ref_is_cyclic(p)] if cyclic_only else every
+                got = run_enumeration(EnumerationRequest(
+                    n=n, patterns=pats, cyclic_only=cyclic_only, collect=True)).witnesses
+                assert [p.entries for p in got] == want, (qs, n, cyclic_only)
+
+
+@pytest.mark.parametrize("cyclic_only, count, nodes", [(True, 2906, 22834),
+                                                       (False, 32116, 117423)])
+def test_totals_over_the_length3_sets_at_n9(cyclic_only, count, nodes):
+    results = [run_enumeration(EnumerationRequest(
+        n=9, patterns=tuple(make_permutation(q) for q in qs), cyclic_only=cyclic_only))
+        for qs in _LENGTH3_SETS]
+    assert sum(r.count for r in results) == count
+    assert sum(r.nodes_visited for r in results) == nodes
 
 
 def test_import_leaves_numpy_out():
@@ -208,8 +242,9 @@ def test_search_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        _kernels._count_from_root(7, [(1, 2, 3), (2, 3, 1)], True, [])
-        assert gc.collect() == 0
+        for pats in ([(1, 2, 3), (2, 3, 1)], [(1, 2, 3), (1, 4, 3, 2)]):
+            _kernels._count_from_root(7, pats, True, [])
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

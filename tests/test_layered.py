@@ -138,6 +138,19 @@ def test_enumerate_good_triples():
         enumerate_good_triples(2)
 
 
+def test_good_triples_skip_only_first_layers_that_cannot_be_good():
+    for n in range(3, 201):
+        full = [t for t in all_triples(n) if classify_triple_formula(t).good]
+        assert enumerate_good_triples(n) == full, n
+
+
+def test_good_triples_count_the_123_231_avoiders():
+    from cycperm.formulas import count_123_231
+
+    for n in range(3, 2001):
+        assert len(enumerate_good_triples(n)) == count_123_231(n), n
+
+
 def test_good_triples_are_exactly_the_cyclic_avoiders():
     from cycperm.enumeration import list_cyclic_avoiders
 
