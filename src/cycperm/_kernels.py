@@ -40,6 +40,48 @@ the value it names does not exist):
 * 321 when min F < v < max U: some u > v, and an unused value below v.
 
 Patterns of length 2 and of length 4 or more keep the per-candidate walk.
+
+A third rule, the pair lookahead, refuses a placement after which two
+unused values a < b can be placed in neither order. It is sound, because
+every completion places a before b or b before a. Let U' be the placed
+values and F' the unused ones after placing v. By the invariant, the
+prefix followed by a alone avoids every pattern, and so does the prefix
+followed by b; so an occurrence in prefix+(a, b) or prefix+(b, a) ends in
+both, as (u, a, b) or (u, b, a) with u in U'. Among length-3 patterns:
+
+* a before b is refused by 123 when a > min U' (L), by 213 when some u in
+  U' lies between a and b (M), and by 312 when b < max U' (H);
+* b before a is refused by 132 (L), 231 (M) and 321 (H), on the same
+  conditions.
+
+The placement is dead when some a < b in F' meets an ascending condition X
+and a descending one Y. Six of the nine combinations are tested, each in
+O(1) mask work:
+
+* LL (123, 132): two values of F' lie above min U'.
+* LM (123, 231): with f the least value of F' above min U' and u the least
+  value of U' above f, some value of F' lies above u.
+* LH (123, 321): two values of F' lie between min U' and max U'.
+* MM (213, 231): with u the least value of U' above min F', some value
+  of F' lies above u.
+* MH (213, 321): with f the greatest value of F' below max U' and u the
+  greatest value of U' below f, some value of F' lies below u.
+* HH (312, 321): two values of F' lie below max U'.
+
+The other three never fire under the invariant, so a set gates them off;
+in each, whichever of two placed values comes first already forbids a or b:
+
+* ML (213, 132), with min U' < a < u < b: min U' then u forbids a by 132;
+  u then min U' forbids b by 213.
+* HL (312, 132), with min U' < a < b < max U': min U' then max U' forbids
+  a by 132; max U' then min U' forbids a by 312.
+* HM (312, 231), with a < u < b < max U': u then max U' forbids a by 231;
+  max U' then u forbids b by 312.
+
+Which combinations a set tests is fixed when it is compiled, so single
+patterns and sets with no tested combination test no candidate; the
+others test each candidate the mask leaves, once per node, before the
+walk.
 """
 from __future__ import annotations
 
@@ -49,25 +91,29 @@ from typing import Iterable, Optional, Sequence
 
 #: Names the search behind every count and node total; bumped by any change
 #: to what _count_from_root returns, so a cached count never outlives it.
-KERNEL_VERSION = 1
+KERNEL_VERSION = 2
 
 #: The length-3 patterns, in the order of the flags _compile_patterns returns.
 _MASKED = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
 
-def _compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
-    """The plans (gaps, lo, hi, k) of the walked patterns, and six flags.
+@lru_cache(maxsize=64)
+def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
+    """The plans (gaps, lo, hi, k) of the walked patterns, six mask flags
+    and six gate flags.
 
-    Flag j says that the set holds _MASKED[j], which the per-node mask
-    refuses; every other pattern is walked. Returns None when a pattern
-    has length 1, which nothing avoids. For a walked pattern q of length
-    k = 2 or k >= 4, an occurrence of q[:k-1] that ends at a newly placed
-    value fills slot k-2 with that value and then slots 0..k-3 left to
-    right; the value of slot t must lie in the open interval between the
-    values of ``gaps[t]``, the two filled slots whose pattern entries are
-    just below and just above q[t]. Indices k-1 and k stand for the bounds
-    0 and n + 1. ``lo`` and ``hi`` name that pair for q[k-1] among all k-1
-    slots: the interval the occurrence forbids.
+    Mask flag j says that the set holds _MASKED[j], which the per-node mask
+    refuses; every other pattern is walked. The gate flags say which of the
+    pair lookahead's combinations LL, LM, LH, MM, MH and HH the set tests.
+    Returns None when a pattern has length 1, which nothing avoids. For a
+    walked pattern q of length k = 2 or k >= 4, an occurrence of q[:k-1]
+    that ends at a newly placed value fills slot k-2 with that value and
+    then slots 0..k-3 left to right; the value of slot t must lie in the
+    open interval between the values of ``gaps[t]``, the two filled slots
+    whose pattern entries are just below and just above q[t]. Indices k-1
+    and k stand for the bounds 0 and n + 1. ``lo`` and ``hi`` name that
+    pair for q[k-1] among all k-1 slots: the interval the occurrence
+    forbids.
     """
     plans = []
     masked = set()
@@ -76,7 +122,7 @@ def _compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
         if k == 1:
             return None
         if k == 3:
-            masked.add(tuple(q))
+            masked.add(q)
             continue
         filled = [k - 2]
         gaps = []
@@ -89,7 +135,11 @@ def _compile_patterns(patterns: Iterable[Sequence[int]]) -> Optional[tuple]:
             filled.append(t)
         *slot_gaps, (lo, hi) = gaps
         plans.append((tuple(slot_gaps), lo, hi, k))
-    return tuple(plans), tuple(q in masked for q in _MASKED)
+    flags = tuple(q in masked for q in _MASKED)
+    has123, has132, has213, has231, has312, has321 = flags
+    gates = (has123 and has132, has123 and has231, has123 and has321,
+             has213 and has231, has213 and has321, has312 and has321)
+    return tuple(plans), flags, gates
 
 
 @lru_cache(maxsize=16)
@@ -110,12 +160,14 @@ def _count_from_root(
     When sink is a list, each avoider's one-line tuple is appended to it,
     in lexicographic order.
     """
-    compiled = _compile_patterns(patterns)
+    compiled = _compile_patterns(tuple(map(tuple, patterns)))
     if compiled is None:
         return 0, 0
-    plans, flags = compiled
+    plans, flags, gates = compiled
     has123, has132, has213, has231, has312, has321 = flags
     masking = any(flags)
+    ll, lm, lh, mm, mh, hh = gates
+    looking = any(gates)
     spans = _spans(n)
     top = n + 1
     last = n - 1
@@ -150,6 +202,46 @@ def _count_from_root(
                 return 1
         return 0
 
+    def doomed(used, free, cands):
+        # The candidates after whose placement two unused values can be
+        # placed in neither order; see the pair lookahead above.
+        rest = free & (free - 1)
+        if not rest & (rest - 1):  # fewer than two values would stay unused
+            return 0
+        out = 0
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            u = used | bit
+            f = free ^ bit
+            u_min = (u & -u).bit_length() - 1
+            u_max = u.bit_length() - 1
+            above = f & spans[u_min][top]
+            below = f & spans[0][u_max]
+            if ll and above & (above - 1):
+                out |= bit
+            elif hh and below & (below - 1):
+                out |= bit
+            elif lh and (above & below) & ((above & below) - 1):
+                out |= bit
+            elif lm and above and rises(u, f, (above & -above).bit_length() - 1):
+                out |= bit
+            elif mm and rises(u, f, (f & -f).bit_length() - 1):
+                out |= bit
+            elif mh and below and falls(u, f, below.bit_length() - 1):
+                out |= bit
+        return out
+
+    def rises(u, f, a):
+        # some value of u above a has a value of f above it
+        w = u & spans[a][top]
+        return w and f & spans[(w & -w).bit_length() - 1][top]
+
+    def falls(u, f, b):
+        # some value of u below b has a value of f below it
+        w = u & spans[0][b]
+        return w and f & spans[0][w.bit_length() - 1]
+
     def descend(m, free):
         nonlocal count, nodes
         i = m + 1  # the one-line position being assigned, 1-based
@@ -182,6 +274,8 @@ def _count_from_root(
             if has321:
                 refused |= spans[f_min][u_max]
         cands = free & ~refused
+        if looking and cands:
+            cands &= ~doomed(used, free, cands)
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -207,8 +301,8 @@ def _count_from_root(
                 end[s], start[e] = i, v
 
     descend(0, (1 << top) - 2)
-    # Both closures reach themselves through their cells. Deleting them
-    # breaks that cycle, so this call's state is freed at once rather than
-    # left to the cyclic garbage collector.
-    del blocked, descend
+    # The recursive closures reach themselves through their cells. Deleting
+    # every closure breaks those cycles, so this call's state is freed at
+    # once rather than left to the cyclic garbage collector.
+    del blocked, doomed, rises, falls, descend
     return count, nodes

@@ -182,6 +182,10 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
 @example(pats=[[1, 2, 3], [1, 4, 3, 2]], n=7)
 @example(pats=[[1, 3, 2], [2, 1, 3], [4, 2, 3, 1]], n=7)
 @example(pats=[[2, 1], [2, 3, 1]], n=7)
+# sets where the pair lookahead runs, alone and beside the walk
+@example(pats=[[1, 2, 3], [1, 3, 2]], n=7)
+@example(pats=[[1, 2, 3], [2, 3, 1], [1, 4, 3, 2]], n=7)
+@example(pats=[[3, 1, 2], [3, 2, 1], [2, 1, 4, 3]], n=7)
 def test_search_matches_full_enumeration(pats, n):
     pats = [tuple(p) for p in pats]
     qs = tuple(make_permutation(p) for p in pats)
@@ -217,8 +221,8 @@ def test_every_set_of_length3_patterns_matches_full_enumeration():
                 assert [p.entries for p in got] == want, (qs, n, cyclic_only)
 
 
-@pytest.mark.parametrize("cyclic_only, count, nodes", [(True, 2906, 22834),
-                                                       (False, 32116, 117423)])
+@pytest.mark.parametrize("cyclic_only, count, nodes", [(True, 2906, 20957),
+                                                       (False, 32116, 113540)])
 def test_totals_over_the_length3_sets_at_n9(cyclic_only, count, nodes):
     results = [run_enumeration(EnumerationRequest(
         n=9, patterns=tuple(make_permutation(q) for q in qs), cyclic_only=cyclic_only))
@@ -276,4 +280,34 @@ def test_node_totals_of_the_table_one_and_pair_sweeps():
     pairs = [(n, tuple(pair.value.split(","))) for n in range(3, 10) for pair in PairFormulaId]
     assert (len(table_one), len(pairs)) == (36, 49)
     assert sum(_cyclic(n, labels).nodes_visited for n, labels in table_one) == 8836
-    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 3070
+    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 1944
+
+
+def test_the_hardest_pair_attains_its_bound_at_n26():
+    from cycperm.formulas import upper_bound_123_231
+
+    res = _cyclic(26, ("123", "231"))
+    assert res.count == upper_bound_123_231(26) == 18
+    assert res.nodes_visited == 1578
+
+
+@pytest.mark.parametrize("labels, nodes", [
+    # The lookahead is gated off for most of these sets, because their
+    # ascending and descending patterns meet only in combinations that never
+    # fire; it runs for (123, 231, 312) and (132, 213, 321) but prunes nothing.
+    (("132", "213"), 720),
+    (("132", "312"), 431),
+    (("231", "312"), 25),
+    (("123", "231", "312"), 25),
+    (("132", "213", "312"), 62),
+    (("132", "213", "321"), 77),
+    (("132", "231", "312"), 25),
+])
+def test_sets_the_lookahead_cannot_prune_keep_their_nodes(labels, nodes):
+    assert _cyclic(10, labels).nodes_visited == nodes
+
+
+def test_pattern_sets_compile_once():
+    pats = ((1, 3, 2), (2, 1, 3))
+    assert _kernels._compile_patterns(pats) is _kernels._compile_patterns(pats)
+    assert _kernels._compile_patterns(pats)[2] == (False,) * 6

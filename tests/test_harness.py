@@ -67,6 +67,14 @@ def test_formula_vs_oracle_all_pairs():
     assert rep_single.passed
 
 
+def test_formula_vs_oracle_at_large_n_on_the_gated_pairs():
+    # the pair lookahead keeps these searches to a few thousand nodes
+    rep = check_formula_vs_oracle([PairFormulaId.P123_231], n_max=26)
+    assert rep.passed and rep.ns == tuple(range(3, 27))
+    rep = check_formula_vs_oracle([PairFormulaId.P123_132], n_max=22)
+    assert rep.passed and rep.ns == tuple(range(3, 23))
+
+
 def test_triple_formula_claim():
     rep = check_triple_formula(n_max=40)
     assert rep.passed and rep.kind == "theorem"

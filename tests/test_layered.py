@@ -159,6 +159,15 @@ def test_good_triples_are_exactly_the_cyclic_avoiders():
         assert built == set(list_cyclic_avoiders(n, BOTH))
 
 
+def test_good_triples_list_the_cyclic_avoiders_in_order_through_n26():
+    # n = 26 is the first n where the count attains (3n - 6) / 4
+    from cycperm.enumeration import list_cyclic_avoiders
+
+    for n in range(3, 27):
+        built = [permutation_of_triple(t) for t in enumerate_good_triples(n)]
+        assert built == list_cyclic_avoiders(n, BOTH), n
+
+
 def test_avoiders_split_into_involutions_and_triples():
     from oracle_ref import ref_avoids
     from itertools import permutations as iterperms
