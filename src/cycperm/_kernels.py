@@ -55,21 +55,9 @@ both, as (u, a, b) or (u, b, a) with u in U'. Among length-3 patterns:
   conditions.
 
 The placement is dead when some a < b in F' meets an ascending condition X
-and a descending one Y. Six of the nine combinations are tested, each in
-O(1) mask work:
-
-* LL (123, 132): two values of F' lie above min U'.
-* LM (123, 231): with f the least value of F' above min U' and u the least
-  value of U' above f, some value of F' lies above u.
-* LH (123, 321): two values of F' lie between min U' and max U'.
-* MM (213, 231): with u the least value of U' above min F', some value
-  of F' lies above u.
-* MH (213, 321): with f the greatest value of F' below max U' and u the
-  greatest value of U' below f, some value of F' lies below u.
-* HH (312, 321): two values of F' lie below max U'.
-
-The other three never fire under the invariant, so a set gates them off;
-in each, whichever of two placed values comes first already forbids a or b:
+and a descending one Y. Six of the nine combinations are tested. The other
+three never fire under the invariant, so a set gates them off; in each,
+whichever of two placed values comes first already forbids a or b:
 
 * ML (213, 132), with min U' < a < u < b: min U' then u forbids a by 132;
   u then min U' forbids b by 213.
@@ -78,10 +66,42 @@ in each, whichever of two placed values comes first already forbids a or b:
 * HM (312, 231), with a < u < b < max U': u then max U' forbids a by 231;
   max U' then u forbids b by 312.
 
+The six are tested once per node, not once per candidate. A gated
+combination's two patterns are in the set, so their own refusals above
+already leave only a few candidates; on those, each combination dooms
+one or two intervals, read off the node's extremes. Write m and M for the
+least and greatest placed values and p and P for the least and greatest
+unused ones, before the placement; a candidate v < m becomes min U', and
+one above M becomes max U'. With no placed value, v is both, and only LL,
+HH and MM can fire.
+
+* LL (123, 132): every v < m below the second greatest unused value.
+  Above m, 123 and 132 leave a candidate only when it is the one unused
+  value there, and placing it leaves none above m.
+* HH (312, 321), the mirror: every v > M above the second least unused
+  value.
+* LH (123, 321): p, when p < m and two unused values lie in (p, M); P,
+  when P > M and two unused values lie in (m, P). No other candidate is
+  left.
+* MM (213, 231): every v in (p, P). 213 and 231 leave p or P only when no
+  placed value lies between p and P, and then neither is doomed.
+* LM (123, 231): with x the greatest placed value below P, every v < m
+  below the greatest unused value under x, which serves as a, x as u and
+  P as b. Above m, only P can be left, and only when no placed value lies
+  in (p, P); then none lies between two unused values after it.
+* MH (213, 321), the mirror of LM: with y the least placed value above p,
+  every v > M above the least unused value over y.
+
 Which combinations a set tests is fixed when it is compiled, so single
-patterns and sets with no tested combination test no candidate; the
-others test each candidate the mask leaves, once per node, before the
-walk.
+patterns and sets with no tested combination pay nothing for the rule.
+
+The last placement needs no node of its own. When placing v leaves one
+unused value w, w always fits: by the invariant the prefix followed by v
+forbids no unused value, so w completes no pattern; and in a cyclic search
+the n - 1 assignments made close no cycle, so they form one path, from w
+(which no position maps to yet) to position n (which maps nowhere yet),
+and p(n) = w closes the n-cycle. So the search counts both placements and
+the avoider where it accepts v.
 """
 from __future__ import annotations
 
@@ -151,6 +171,54 @@ def _spans(n: int) -> tuple:
     )
 
 
+def _doomed(used: int, free: int, gates: tuple, spans: tuple, top: int) -> int:
+    """The mask of the candidates that the pair lookahead refuses, for the
+    combinations ``gates`` flags (LL, LM, LH, MM, MH, HH); ``used`` and
+    ``free`` are the masks of the placed and unused values before the
+    placement. Its bits are exact on the candidates that the length-3 mask
+    leaves and mean nothing elsewhere; see the module docstring."""
+    rest = free & (free - 1)
+    if not rest & (rest - 1):  # fewer than two values would stay unused
+        return 0
+    ll, lm, lh, mm, mh, hh = gates
+    if used:
+        u_min = (used & -used).bit_length() - 1
+        u_max = used.bit_length() - 1
+    else:  # the candidate becomes both the least and the greatest placed value
+        u_min, u_max = top, 0
+    f_min = (free & -free).bit_length() - 1
+    f_max = free.bit_length() - 1
+    out = 0
+    if ll:
+        out |= spans[0][min(u_min, (free ^ (1 << f_max)).bit_length() - 1)]
+    if hh:
+        out |= spans[max(u_max, (rest & -rest).bit_length() - 1)][top]
+    if lh:
+        w = free & spans[0][u_max]
+        if w & (w - 1):
+            w ^= 1 << (w.bit_length() - 1)
+            out |= spans[0][min(u_min, w.bit_length() - 1)]
+        w = free & spans[u_min][top]
+        w &= w - 1
+        if w:
+            out |= spans[max(u_max, (w & -w).bit_length() - 1)][top]
+    if mm:
+        out |= spans[f_min][f_max]
+    if lm:
+        w = used & spans[0][f_max]
+        if w:
+            w = free & spans[0][w.bit_length() - 1]
+            if w:
+                out |= spans[0][min(u_min, w.bit_length() - 1)]
+    if mh:
+        w = used & spans[f_min][top]
+        if w:
+            w = free & spans[(w & -w).bit_length() - 1][top]
+            if w:
+                out |= spans[max(u_max, (w & -w).bit_length() - 1)][top]
+    return out
+
+
 def _count_from_root(
     n: int, patterns: Iterable[Sequence[int]], cyclic_only: bool, sink=None
 ) -> tuple[int, int]:
@@ -166,7 +234,6 @@ def _count_from_root(
     plans, flags, gates = compiled
     has123, has132, has213, has231, has312, has321 = flags
     masking = any(flags)
-    ll, lm, lh, mm, mh, hh = gates
     looking = any(gates)
     spans = _spans(n)
     top = n + 1
@@ -202,46 +269,6 @@ def _count_from_root(
                 return 1
         return 0
 
-    def doomed(used, free, cands):
-        # The candidates after whose placement two unused values can be
-        # placed in neither order; see the pair lookahead above.
-        rest = free & (free - 1)
-        if not rest & (rest - 1):  # fewer than two values would stay unused
-            return 0
-        out = 0
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            u = used | bit
-            f = free ^ bit
-            u_min = (u & -u).bit_length() - 1
-            u_max = u.bit_length() - 1
-            above = f & spans[u_min][top]
-            below = f & spans[0][u_max]
-            if ll and above & (above - 1):
-                out |= bit
-            elif hh and below & (below - 1):
-                out |= bit
-            elif lh and (above & below) & ((above & below) - 1):
-                out |= bit
-            elif lm and above and rises(u, f, (above & -above).bit_length() - 1):
-                out |= bit
-            elif mm and rises(u, f, (f & -f).bit_length() - 1):
-                out |= bit
-            elif mh and below and falls(u, f, below.bit_length() - 1):
-                out |= bit
-        return out
-
-    def rises(u, f, a):
-        # some value of u above a has a value of f above it
-        w = u & spans[a][top]
-        return w and f & spans[(w & -w).bit_length() - 1][top]
-
-    def falls(u, f, b):
-        # some value of u below b has a value of f below it
-        w = u & spans[0][b]
-        return w and f & spans[0][w.bit_length() - 1]
-
     def descend(m, free):
         nonlocal count, nodes
         i = m + 1  # the one-line position being assigned, 1-based
@@ -275,7 +302,7 @@ def _count_from_root(
                 refused |= spans[f_min][u_max]
         cands = free & ~refused
         if looking and cands:
-            cands &= ~doomed(used, free, cands)
+            cands &= ~_doomed(used, free, gates, spans, top)
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -288,7 +315,10 @@ def _count_from_root(
             else:
                 nodes += 1
                 word[m] = v
-                if not rest:
+                if not rest & (rest - 1):  # v completes the word, or the one value left does
+                    if rest:
+                        nodes += 1
+                        word[i] = rest.bit_length() - 1
                     count += 1
                     if sink is not None:
                         sink.append(tuple(word))
@@ -304,5 +334,5 @@ def _count_from_root(
     # The recursive closures reach themselves through their cells. Deleting
     # every closure breaks those cycles, so this call's state is freed at
     # once rather than left to the cyclic garbage collector.
-    del blocked, doomed, rises, falls, descend
+    del blocked, descend
     return count, nodes

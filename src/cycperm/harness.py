@@ -16,6 +16,7 @@ The CLI maps these kinds onto distinct exit codes.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from ._record import Record
@@ -23,13 +24,7 @@ from .enumeration import EnumerationRequest, run_enumeration
 from .errors import LimitExceeded, PreconditionViolated, TooSmall
 from .formulas import PairFormulaId, count_123_231, pair_count
 from .layered import all_triples, classify_triple_formula, is_good_triple_direct
-from .patterns import (
-    Pattern,
-    avoids_all,
-    canonical_patterns,
-    parse_pattern,
-    pattern_label,
-)
+from .patterns import Pattern, avoids_all, parse_pattern, pattern_label
 from .perm import Permutation, inverse, is_cyclic, is_involution
 
 #: Reference counts of cyclic permutations avoiding one length-3 pattern,
@@ -133,13 +128,23 @@ _COUNT_CACHE: dict[tuple, int] = {}
 
 def cyclic_count(patterns: Iterable[Pattern], n: int) -> int:
     """Oracle count with an in-process memo, at any n (the cap is the
-    CLI's rule)."""
-    qs = canonical_patterns(patterns)
-    key = (tuple(q.entries for q in qs), n)
-    if key not in _COUNT_CACHE:
-        req = EnumerationRequest(n=n, patterns=qs, cyclic_only=True)
-        _COUNT_CACHE[key] = run_enumeration(req).count
-    return _COUNT_CACHE[key]
+    CLI's rule). The memo is keyed by the set of the patterns' entries, so
+    their order and repeats do not matter; the request orders them."""
+    patterns = tuple(patterns)
+    key = (frozenset(q.entries for q in patterns), n)
+    count = _COUNT_CACHE.get(key)
+    if count is None:
+        req = EnumerationRequest(n=n, patterns=patterns, cyclic_only=True)
+        count = _COUNT_CACHE[key] = run_enumeration(req).count
+    return count
+
+
+@lru_cache(maxsize=None)
+def _patterns_of(labels: str) -> tuple[Pattern, ...]:
+    """The patterns named by comma-separated labels ("123" or a pair's
+    "123,231"), parsed once per label string. Callers pass only Table 1's
+    labels and the pairs' values, so the cache stays small."""
+    return tuple(parse_pattern(label) for label in labels.split(","))
 
 
 # reproduce_table_one and the check_* functions take ``workers`` for
@@ -153,7 +158,7 @@ def reproduce_table_one(n_max: int, workers: int = 1):
     table = CountTable(columns=TABLE_ONE_COLUMNS)
     for n in range(3, n_max + 1):
         for label in TABLE_ONE_COLUMNS:
-            table.set(n, label, cyclic_count([parse_pattern(label)], n), "oracle")
+            table.set(n, label, cyclic_count(_patterns_of(label), n), "oracle")
     return table
 
 
@@ -164,7 +169,7 @@ def check_table_one(n_max: int, workers: int = 1) -> VerificationReport:
     rep = VerificationReport("TableOne")
     for n in range(3, n_max + 1):
         for label, expected in zip(TABLE_ONE_COLUMNS, TABLE_ONE[n]):
-            got = cyclic_count([parse_pattern(label)], n)
+            got = cyclic_count(_patterns_of(label), n)
             rep.record(n, got == expected, f"C_{n}({label}) = {got}, reference says {expected}")
     return rep.done()
 
@@ -180,9 +185,8 @@ def check_formula_vs_oracle(
     pair_list = list(pairs) if pairs is not None else list(PairFormulaId)
     for n in range(n_min, n_max + 1):
         for pair in pair_list:
-            qs = [parse_pattern(lbl) for lbl in pair.value.split(",")]
             formula = pair_count(pair, n)
-            oracle = cyclic_count(qs, n)
+            oracle = cyclic_count(_patterns_of(pair.value), n)
             rep.record(n, formula == oracle,
                        f"pair ({pair.value}): formula {formula} != oracle {oracle}")
     return rep.done()
@@ -213,7 +217,7 @@ def check_chain_conjecture(n_max: int, workers: int = 1) -> VerificationReport:
     """The conjectured ordering among the six single-pattern counts."""
     rep = VerificationReport("ChainConjecture")
     for n in range(3, n_max + 1):
-        c = {label: cyclic_count([parse_pattern(label)], n) for label in TABLE_ONE_COLUMNS}
+        c = {label: cyclic_count(_patterns_of(label), n) for label in TABLE_ONE_COLUMNS}
         ok = c["123"] >= c["132"] == c["213"] >= c["321"] >= c["231"] == c["312"]
         rep.record(n, ok, "chain broken: "
                    + " ".join(f"C({lbl})={c[lbl]}" for lbl in TABLE_ONE_COLUMNS))

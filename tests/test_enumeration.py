@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_ref import ref_count, ref_is_cyclic, ref_list
+from oracle_ref import ref_avoids, ref_count, ref_is_cyclic, ref_list
 
 from cycperm import _kernels, cli
 from cycperm.enumeration import (
@@ -102,8 +102,6 @@ def test_witnesses_verified_independently_and_ordered():
 
 
 def test_a_sink_receives_the_listed_witnesses_as_they_are_found():
-    qs = (parse_pattern("1432"),)
-
     class Sink:  # any object with an append method
         def __init__(self):
             self.seen = []
@@ -111,11 +109,14 @@ def test_a_sink_receives_the_listed_witnesses_as_they_are_found():
         def append(self, entries):
             self.seen.append(entries)
 
-    sink = Sink()
-    result = run_enumeration(EnumerationRequest(n=7, patterns=qs, collect=True), sink)
-    assert result.witnesses is None
-    assert sink.seen == [p.entries for p in list_cyclic_avoiders(7, qs)]
-    assert result.count == len(sink.seen) > 0
+    # a walked pattern, and gated pairs whose leaves the candidate loop settles
+    for labels in (("1432",), ("123", "132"), ("123", "231"), ("213", "321")):
+        qs = tuple(parse_pattern(l) for l in labels)
+        sink = Sink()
+        result = run_enumeration(EnumerationRequest(n=7, patterns=qs, collect=True), sink)
+        assert result.witnesses is None
+        assert sink.seen == [p.entries for p in list_cyclic_avoiders(7, qs)]
+        assert result.count == len(sink.seen) > 0
     with pytest.raises(ValueError, match="collect=True"):
         run_enumeration(EnumerationRequest(n=7, patterns=qs), Sink())
 
@@ -231,6 +232,76 @@ def test_totals_over_the_length3_sets_at_n9(cyclic_only, count, nodes):
     assert sum(r.nodes_visited for r in results) == nodes
 
 
+# One set per combination of an ascending-ending and a descending-ending
+# length-3 pattern: the six the pair lookahead tests (LL, LM, LH, MM, MH,
+# HH), then the three it gates off (ML, HL, HM).
+_COMBINATIONS = [((1, 2, 3), (1, 3, 2)), ((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 2, 1)),
+                 ((2, 1, 3), (2, 3, 1)), ((2, 1, 3), (3, 2, 1)), ((3, 1, 2), (3, 2, 1)),
+                 ((1, 3, 2), (2, 1, 3)), ((1, 3, 2), (3, 1, 2)), ((2, 3, 1), (3, 1, 2))]
+
+
+@pytest.mark.parametrize("pats", _COMBINATIONS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_pair_lookahead_refuses_exactly_the_dead_placements(pats, data):
+    # From a prefix that forbids no unused value, the mask holds a candidate
+    # v exactly when some unused a < b make both prefix+v+(a, b) and
+    # prefix+v+(b, a) contain a pattern.
+    n = data.draw(st.integers(3, 8), label="n")
+    prefix, free = [], set(range(1, n + 1))
+
+    def fits(v):  # placing v forbids no unused value: the length-3 mask leaves v
+        return all(ref_avoids([*prefix, v, a], pats) for a in free - {v})
+
+    for _ in range(data.draw(st.integers(0, n - 1), label="length")):
+        choices = [v for v in sorted(free) if fits(v)]
+        if not choices:  # a dead end, such as the lookahead refuses
+            break
+        v = data.draw(st.sampled_from(choices), label="v")
+        prefix.append(v)
+        free.discard(v)
+    gates = _kernels._compile_patterns(pats)[2]
+    assert any(gates) == (pats in _COMBINATIONS[:6])
+    mask = _kernels._doomed(sum(1 << u for u in prefix), sum(1 << f for f in free),
+                            gates, _kernels._spans(n), n + 1)
+    for v in sorted(free):
+        if not fits(v):
+            continue
+        dead = any(not ref_avoids([*prefix, v, a, b], pats)
+                   and not ref_avoids([*prefix, v, b, a], pats)
+                   for a, b in combinations(sorted(free - {v}), 2))
+        assert bool(mask >> v & 1) == dead, (prefix, v)
+
+
+@pytest.mark.parametrize("pats, cyclic, every", [
+    (_COMBINATIONS[0], (32, 286), (2048, 6142)),  # LL
+    (_COMBINATIONS[1], (2, 157), (67, 584)),  # LM
+    (_COMBINATIONS[2], (0, 14), (0, 16)),  # LH
+    (_COMBINATIONS[3], (170, 846), (2048, 6142)),  # MM
+    (_COMBINATIONS[4], (4, 108), (67, 584)),  # MH
+    (_COMBINATIONS[5], (1, 12), (2048, 6142)),  # HH
+])
+def test_count_and_nodes_of_each_lookahead_combination_at_n12(pats, cyclic, every):
+    # A cached count names the kernel by KERNEL_VERSION, so any change to
+    # these pins bumps it.
+    assert _kernels.KERNEL_VERSION == 2
+    assert _kernels._count_from_root(12, pats, True) == cyclic
+    assert _kernels._count_from_root(12, pats, False) == every
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_shortest_searches_match_full_enumeration(n):
+    for pats in (*_COMBINATIONS[:6], [(1, 2, 3)], [(2, 1)], [(1, 2), (2, 3, 1)],
+                 [(1, 4, 3, 2)], [(1,)]):
+        qs = tuple(make_permutation(p) for p in pats)
+        for cyclic_only in (True, False):
+            got = run_enumeration(EnumerationRequest(
+                n=n, patterns=qs, cyclic_only=cyclic_only, collect=True))
+            want = ref_list(n, pats, cyclic_only)
+            assert [p.entries for p in got.witnesses] == want, (pats, cyclic_only)
+            assert got.count == len(want)
+
+
 def test_import_leaves_numpy_out():
     # ... and every cycperm submodule: the package resolves its names lazily.
     code = ("import sys, cycperm; print([m for m in sys.modules if m.startswith('cycperm.')"
@@ -246,9 +317,10 @@ def test_search_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        for pats in ([(1, 2, 3), (2, 3, 1)], [(1, 2, 3), (1, 4, 3, 2)]):
-            _kernels._count_from_root(7, pats, True, [])
-            assert gc.collect() == 0
+        for pats in (*_COMBINATIONS[:6], [(1, 2, 3), (1, 4, 3, 2)], [(2, 1), (2, 3, 1)]):
+            for cyclic_only in (True, False):
+                _kernels._count_from_root(7, pats, cyclic_only, [])
+                assert gc.collect() == 0, (pats, cyclic_only)
     finally:
         gc.enable()
 

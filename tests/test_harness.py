@@ -75,6 +75,32 @@ def test_formula_vs_oracle_at_large_n_on_the_gated_pairs():
     assert rep.passed and rep.ns == tuple(range(3, 23))
 
 
+def test_each_label_is_parsed_once_and_the_memo_ignores_order(monkeypatch):
+    parsed, searched = [], []
+    real_parse, real_search = harness.parse_pattern, harness.run_enumeration
+
+    def parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    def search(req, sink=None):
+        searched.append(req)
+        return real_search(req, sink)
+
+    monkeypatch.setattr(harness, "parse_pattern", parse)
+    monkeypatch.setattr(harness, "run_enumeration", search)
+    monkeypatch.setattr(harness, "_COUNT_CACHE", {})
+    harness._patterns_of.cache_clear()
+    assert check_formula_vs_oracle([PairFormulaId.P123_231], n_max=9).passed
+    assert check_chain_conjecture(6).passed and check_table_one(6).passed
+    assert sorted(parsed) == sorted(["123", "231", *TABLE_ONE_COLUMNS])
+    assert len(searched) == 7 + 6 * 4  # check_table_one reuses the chain's counts
+    # the memo is keyed by the set of patterns, whatever their order or repeats
+    q, r = parse_pattern("123"), parse_pattern("231")
+    assert harness.cyclic_count([r, q, r], 10) == harness.cyclic_count([q, r], 10)
+    assert len(searched) == 7 + 6 * 4 + 1
+
+
 def test_triple_formula_claim():
     rep = check_triple_formula(n_max=40)
     assert rep.passed and rep.kind == "theorem"
