@@ -171,23 +171,18 @@ def _spans(n: int) -> tuple:
     )
 
 
-def _doomed(used: int, free: int, gates: tuple, spans: tuple, top: int) -> int:
+def _doomed(used: int, free: int, u_min: int, u_max: int, f_min: int, f_max: int,
+            gates: tuple, spans: tuple, top: int) -> int:
     """The mask of the candidates that the pair lookahead refuses, for the
     combinations ``gates`` flags (LL, LM, LH, MM, MH, HH); ``used`` and
     ``free`` are the masks of the placed and unused values before the
-    placement. Its bits are exact on the candidates that the length-3 mask
-    leaves and mean nothing elsewhere; see the module docstring."""
+    placement, and u_min, u_max, f_min and f_max their extremes. Its bits
+    are exact on the candidates that the length-3 mask leaves and mean
+    nothing elsewhere; see the module docstring."""
     rest = free & (free - 1)
     if not rest & (rest - 1):  # fewer than two values would stay unused
         return 0
     ll, lm, lh, mm, mh, hh = gates
-    if used:
-        u_min = (used & -used).bit_length() - 1
-        u_max = used.bit_length() - 1
-    else:  # the candidate becomes both the least and the greatest placed value
-        u_min, u_max = top, 0
-    f_min = (free & -free).bit_length() - 1
-    f_max = free.bit_length() - 1
     out = 0
     if ll:
         out |= spans[0][min(u_min, (free ^ (1 << f_max)).bit_length() - 1)]
@@ -237,7 +232,9 @@ def _count_from_root(
     looking = any(gates)
     spans = _spans(n)
     top = n + 1
-    last = n - 1
+    # The candidate loop places the last value, so unless n = 1 no node is
+    # at the last position, and each refuses the value that closes a cycle.
+    closes = cyclic_only and n > 1
     word = [0] * n
     pos = [0] * top  # pos[v]: the position of placed value v
     prefix = [0] * top  # prefix[j]: the mask of the values at positions < j
@@ -272,12 +269,14 @@ def _count_from_root(
     def descend(m, free):
         nonlocal count, nodes
         i = m + 1  # the one-line position being assigned, 1-based
-        closing = start[i] if cyclic_only and m < last else 0
         used = prefix[m]
-        refused = 1 << closing  # bit 0, no value, when nothing closes
-        if masking and used:
-            u_min = (used & -used).bit_length() - 1
-            u_max = used.bit_length() - 1
+        refused = 1 << start[i] if closes else 0
+        if masking:
+            if used:
+                u_min = (used & -used).bit_length() - 1
+                u_max = used.bit_length() - 1
+            else:  # the candidate becomes both; no length-3 rule refuses anything
+                u_min, u_max = top, 0
             f_min = (free & -free).bit_length() - 1
             f_max = free.bit_length() - 1
             if has123:
@@ -300,9 +299,9 @@ def _count_from_root(
                     refused |= spans[0][f.bit_length() - 1]
             if has321:
                 refused |= spans[f_min][u_max]
+            if looking:
+                refused |= _doomed(used, free, u_min, u_max, f_min, f_max, gates, spans, top)
         cands = free & ~refused
-        if looking and cands:
-            cands &= ~_doomed(used, free, gates, spans, top)
         while cands:
             bit = cands & -cands
             cands ^= bit

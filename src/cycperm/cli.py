@@ -263,24 +263,16 @@ def _oracle_count(
     hit = cache_lookup(cache_path, key)
     if hit is not None:
         return hit["count"]
-    req = EnumerationRequest(n, patterns, cyclic)
-    _write_cache(cache_path, None)  # refuse a cache that cannot be written before the search
-    result = run_enumeration(req)
-    _write_cache(cache_path, {"key": key, "n": n, "patterns": labels, "cyclic": cyclic,
-                              "count": result.count, "nodes": result.nodes_visited})
-    return result.count
-
-
-def _write_cache(path: str, record: dict | None) -> None:
-    """Append ``record`` to the cache, or with None only open it for
-    appending; an OSError, such as a name too long, is a usage error."""
+    # A cache that cannot be written is refused before the search; an
+    # OSError, such as a name too long, is a usage error.
     try:
-        if record is None:
-            open(path, "ab").close()
-        else:
-            cache_append(path, record)
+        open(cache_path, "ab").close()
+        result = run_enumeration(EnumerationRequest(n, patterns, cyclic))
+        cache_append(cache_path, {"key": key, "n": n, "patterns": labels, "cyclic": cyclic,
+                                  "count": result.count, "nodes": result.nodes_visited})
     except OSError as exc:
-        raise BadSetting(f"--cache {path}: {exc.strerror or exc}") from None
+        raise BadSetting(f"--cache {cache_path}: {exc.strerror or exc}") from None
+    return result.count
 
 
 # --- subcommands: each prints its output and returns its exit code -----------
@@ -389,12 +381,6 @@ def _claim_calls(
     return [(*call, n_max) for call in calls]
 
 
-def _run_claim(claim: str, n_max: int, cap: int) -> list[VerificationReport]:
-    """One claim over n <= n_max with its default patterns, refused above
-    the cap before any search."""
-    return [run(*rest) for run, *rest in _claim_calls(claim, n_max, cap)]
-
-
 def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     n_max = args.n_max if args.n_max is not None else _DEFAULT_N_MAX[args.claim]
     calls = _claim_calls(args.claim, n_max, cap, args.pair, args.avoid)
@@ -405,11 +391,11 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
 
 def cmd_conjectures(args: argparse.Namespace, cap: int) -> int:
     n_max = args.n_max
-    reports = _run_claim("chain", n_max, cap)
-    reports += _run_claim("growth", n_max, cap)
-    reports += _run_claim("insertion", min(n_max, _DEFAULT_N_MAX["insertion"]), cap)
-    reports += _run_claim("k-minus-one", n_max, cap)
-    return _print_reports(reports, args.format)
+    calls = _claim_calls("chain", n_max, cap)
+    calls += _claim_calls("growth", n_max, cap)
+    calls += _claim_calls("insertion", min(n_max, _DEFAULT_N_MAX["insertion"]), cap)
+    calls += _claim_calls("k-minus-one", n_max, cap)
+    return _print_reports([run(*rest) for run, *rest in calls], args.format)
 
 
 def cmd_triples(args: argparse.Namespace, cap: int) -> int:

@@ -147,11 +147,13 @@ def _patterns_of(labels: str) -> tuple[Pattern, ...]:
     return tuple(parse_pattern(label) for label in labels.split(","))
 
 
-# reproduce_table_one and the check_* functions take ``workers`` for
-# compatibility only; the oracle runs on one thread.
+# check_formula_vs_oracle, check_chain_conjecture, check_growth_bounds,
+# check_insertion_theorem and check_k_minus_one_question take ``workers``
+# for compatibility only, since perfbench/ops.py passes workers=1 to them;
+# the oracle runs on one thread.
 
 
-def reproduce_table_one(n_max: int, workers: int = 1):
+def reproduce_table_one(n_max: int):
     """Oracle counts for the six single patterns, n = 3..n_max, as a table."""
     from .tables import CountTable
 
@@ -162,7 +164,7 @@ def reproduce_table_one(n_max: int, workers: int = 1):
     return table
 
 
-def check_table_one(n_max: int, workers: int = 1) -> VerificationReport:
+def check_table_one(n_max: int) -> VerificationReport:
     """Oracle vs the embedded reference table, cell for cell."""
     if n_max > max(TABLE_ONE):
         raise LimitExceeded(f"reference values are embedded only through n = {max(TABLE_ONE)}")

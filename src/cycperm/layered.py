@@ -26,7 +26,7 @@ class Triple(FrozenRecord):
 
     def __init__(self, a: int, b: int, c: int):
         if min(a, b, c) < 1:
-            raise ValueError(f"layer lengths must be positive: {(a, b, c)}")
+            raise TooSmall(f"layer lengths must be positive: {(a, b, c)}")
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)

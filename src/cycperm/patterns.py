@@ -44,12 +44,14 @@ def parse_pattern(text: str) -> Pattern:
     text = text.strip()
     if not text:
         raise BadPattern("empty pattern string")
-    try:
-        if " " in text:
-            return make_permutation(int(tok) for tok in text.split())
-        if text.isdigit():
-            return make_permutation(int(ch) for ch in text)
+    if " " in text:
+        tokens = text.split()
+    elif text.isdigit():
+        tokens = text
+    else:
         raise BadPattern(f"cannot parse pattern {text!r}")
+    try:
+        return make_permutation(int(tok) for tok in tokens)
     except (ValueError, TypeError) as exc:
         raise BadPattern(f"cannot parse pattern {text!r}: {exc}") from exc
 

@@ -121,6 +121,13 @@ def test_count_refuses_whole_range_before_searching(tmp_path):
     assert not cache.exists()  # n = 8..10 were not searched and cached first
 
 
+@pytest.mark.parametrize("text", ["1,2", "12a"])
+def test_an_unparseable_pattern_is_named_once(text):
+    proc = run_cli("count", "--n", "3", "--avoid", text)
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert proc.stderr == f"cycperm: error: cannot parse pattern {text!r}\n"
+
+
 def test_env_cap_binds_verify():
     args = ("verify", "--claim", "chain", "--n-max", "8")
     proc = run_cli(*args, env_extra={"CYCPERM_ORACLE_CAP": "5"})

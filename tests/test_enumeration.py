@@ -262,7 +262,9 @@ def test_the_pair_lookahead_refuses_exactly_the_dead_placements(pats, data):
         free.discard(v)
     gates = _kernels._compile_patterns(pats)[2]
     assert any(gates) == (pats in _COMBINATIONS[:6])
+    u_min, u_max = (min(prefix), max(prefix)) if prefix else (n + 1, 0)
     mask = _kernels._doomed(sum(1 << u for u in prefix), sum(1 << f for f in free),
+                            u_min, u_max, min(free), max(free),
                             gates, _kernels._spans(n), n + 1)
     for v in sorted(free):
         if not fits(v):

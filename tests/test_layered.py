@@ -3,7 +3,7 @@ import pytest
 
 from oracle_ref import ref_list
 
-from cycperm.errors import TooSmall
+from cycperm.errors import TooSmall, UsageError
 from cycperm.layered import (
     Triple,
     TripleReason,
@@ -26,6 +26,8 @@ def test_triple_validation():
         Triple(0, 1, 1)
     with pytest.raises(ValueError):
         Triple(3, 2, -1)
+    with pytest.raises(UsageError):
+        Triple(1, 0, 2)
     assert Triple(4, 2, 3).n == 9
 
 
