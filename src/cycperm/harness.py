@@ -263,10 +263,18 @@ def insertion_construction(p: Permutation, q: Pattern) -> Permutation:
     The new entry lands at position n of the length-(n+1) word, pushing the
     old last entry right; the result is again cyclic and q-avoiding when q
     is an involution of length > 2 with its maximum at position <= k - 2.
+    The hypothesis on q is checked here on each call; check_insertion_theorem
+    checks it once per claim and then builds each image with _insert.
     """
     failure = _insertion_hypothesis_failure(q)
     if failure is not None:
         raise PreconditionViolated(failure)
+    return _insert(p, q)
+
+
+def _insert(p: Permutation, q: Pattern) -> Permutation:
+    """The construction for a q already known to meet the hypothesis; p is
+    still checked to be cyclic and q-avoiding."""
     if not is_cyclic(p):
         raise PreconditionViolated(f"permutation {p} is not cyclic")
     if not avoids_all(p, [q]):
@@ -295,8 +303,8 @@ class _InsertionWitnesses:
             problems.append(f"oracle witness {p} repeats or breaks the ascending order")
         self.prev = entries
         try:
-            s = insertion_construction(p, q)
-        except PreconditionViolated as exc:  # q is valid, so the oracle erred
+            s = _insert(p, q)
+        except PreconditionViolated as exc:  # q meets the hypothesis, so the oracle erred
             problems.append(f"oracle witness rejected: {exc}")
             return
         if s(n) != n + 1 or s.entries[: n - 1] + s.entries[n:] != entries:
@@ -326,6 +334,11 @@ def check_insertion_theorem(q: Pattern, n_max: int, workers: int = 1) -> Verific
     n+1 at position n, so s(n+1) = n; with s(n) = n+1 that is the 2-cycle
     (n n+1), which the cyclicity check of s rules out. An oracle witness
     the construction rejects is a counterexample at its n.
+
+    The hypothesis on q (an involution of length > 2 with its maximum at
+    position <= k - 2) is checked once per call, before any search; a q
+    that fails it raises PreconditionViolated. The witnesses are then
+    checked without it.
     """
     failure = _insertion_hypothesis_failure(q)
     if failure is not None:

@@ -10,8 +10,11 @@ a depth-first subsequence search that fills the pattern's slots left to
 right; a candidate for slot t is compared with two values only, those of
 its value-neighbours among slots 0..t-1 (the slots whose pattern entries
 are just below and just above pat[t]), which are precomputed per pattern.
-The harness uses both to re-verify the oracle's witnesses independently
-of its search, so neither shares code or plans with the kernel.
+The search is one loop over an explicit stack that holds, per filled
+slot, the word position at which its scan resumes after a dead end; it
+makes no call per slot and builds no closure. The harness uses both to
+re-verify the oracle's witnesses independently of its search, so neither
+shares code or plans with the kernel.
 """
 from __future__ import annotations
 
@@ -95,7 +98,11 @@ def contains(p: Permutation, q: Pattern) -> bool:
 
 def avoids_all(p: Permutation, qs: Iterable[Pattern]) -> bool:
     """True iff p contains none of the patterns."""
-    return all(not contains(p, q) for q in qs)
+    entries = p.entries
+    for q in qs:
+        if word_contains(entries, q.entries):
+            return False
+    return True
 
 
 def word_contains(word: Sequence[int], pat: Sequence[int]) -> bool:
@@ -141,27 +148,39 @@ def _contains_backtrack(word: Sequence[int], pat: Sequence[int]) -> bool:
     # Depth-first choice of positions for each pattern slot, left to right.
     # The new value only has to lie between the values of the slot's two
     # value-neighbours among the slots already placed (see _slot_bounds).
+    # resume[t] is where slot t's scan goes on once slot t + 1 runs dry;
+    # slot t may use positions up to stop - 1, which leaves room for the
+    # slots after it.
     bounds = _slot_bounds(tuple(pat))
     k = len(bounds)
-    n = len(word)
+    if not k:
+        return True
     vals = [0] * k + [-inf, inf]  # the placed values, then the two sentinels
-
-    def extend(t: int, start: int) -> bool:
-        if t == k:
-            return True
+    resume = [0] * k
+    last = k - 1
+    t = c = 0
+    stop = len(word) - last
+    while True:
         lo, hi = bounds[t]
         a, b = vals[lo], vals[hi]
-        for c in range(start, n - k + t + 1):
+        while c < stop:
             w = word[c]
+            c += 1
             if a < w < b:
-                vals[t] = w
-                if extend(t + 1, c + 1):
-                    return True
-        return False
-
-    found = extend(0, 0)
-    del extend  # it reaches itself through its cell; freed now, not by the cyclic collector
-    return found
+                break
+        else:  # slot t is exhausted: go back to slot t - 1's next position
+            if not t:
+                return False
+            t -= 1
+            stop -= 1
+            c = resume[t]
+            continue
+        if t == last:
+            return True
+        vals[t] = w
+        resume[t] = c
+        t += 1
+        stop += 1
 
 
 @lru_cache(maxsize=64)

@@ -1,14 +1,10 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
-criteria execute. Criterion 1's extended range (n = 11, 12) is gated behind
-CYCPERM_EXTENDED=1 because the oracle cost grows factorially.
+criteria execute.
 """
-import os
 import time
 from fractions import Fraction
-
-import pytest
 
 from cycperm.enumeration import EnumerationRequest, list_cyclic_avoiders, run_enumeration
 from cycperm.formulas import (
@@ -40,7 +36,6 @@ from cycperm.layered import (
 from cycperm.patterns import parse_pattern
 from cycperm.perm import inversion_count, is_cyclic, is_involution
 
-EXTENDED = os.environ.get("CYCPERM_EXTENDED", "") == "1"
 PAIR_123_231 = (parse_pattern("123"), parse_pattern("231"))
 
 
@@ -67,7 +62,6 @@ def test_criterion_1_table_one():
     _report(1, "Table 1 reproduction, 48 cells for n = 3..10, exact", not mismatches, t0)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended range gated behind CYCPERM_EXTENDED=1")
 def test_criterion_1_table_one_extended():
     t0 = time.perf_counter()
     ok = all(

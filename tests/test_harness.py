@@ -191,7 +191,6 @@ def test_insertion_theorem_length_five_family(q):
     assert rep.ns == tuple(range(3, 8))
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended range gated behind CYCPERM_EXTENDED=1")
 def test_insertion_theorem_length_six_family():
     failed = {}
     for q in _insertion_family(6):
@@ -199,6 +198,61 @@ def test_insertion_theorem_length_six_family():
         if not rep.passed or rep.ns != tuple(range(3, 8)):
             failed[pattern_label(q)] = rep.counterexamples
     assert not failed
+
+
+@pytest.mark.skipif(not EXTENDED, reason="extended range gated behind CYCPERM_EXTENDED=1")
+def test_insertion_theorem_length_five_family_to_n_max_10():
+    # about 3 s per pattern
+    failed = {}
+    for q in _insertion_family(5):
+        rep = check_insertion_theorem(q, 10)
+        if not rep.passed or rep.ns != tuple(range(3, 10)):
+            failed[pattern_label(q)] = rep.counterexamples
+    assert not failed
+
+
+def test_the_insertion_hypothesis_is_checked_once_per_claim(monkeypatch):
+    calls = []
+    real = harness._insertion_hypothesis_failure
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(harness, "_insertion_hypothesis_failure", counting)
+    q = parse_pattern("1432")
+    rep = check_insertion_theorem(q, 8)
+    assert rep.passed
+    assert calls == [q]  # not once more per witness
+    with pytest.raises(PreconditionViolated):
+        check_insertion_theorem(parse_pattern("123"), 8)
+    assert calls == [q, parse_pattern("123")]
+
+
+@pytest.mark.parametrize("label, n, bad", [
+    ("321", 4, (4, 3, 1, 2)),
+    ("1432", 5, (2, 5, 4, 1, 3)),
+])
+def test_a_cyclic_oracle_witness_that_contains_q_is_rejected(monkeypatch, label, n, bad):
+    # bad is an n-cycle that contains q, slipped into its place among the
+    # streamed witnesses at n, so only the avoidance check can catch it
+    real = harness.run_enumeration
+
+    def with_bad(req, sink=None):
+        if sink is None or req.n != n:
+            return real(req, sink)
+        found = []
+        result = real(req, found)
+        for entries in sorted(found + [bad]):
+            sink.append(entries)
+        return result
+
+    monkeypatch.setattr(harness, "run_enumeration", with_bad)
+    assert is_cyclic(make_permutation(bad))
+    rep = check_insertion_theorem(parse_pattern(label), n + 2)
+    assert [m for m, ok in rep.status.items() if not ok] == [n]
+    assert rep.counterexamples == [
+        (n, f"oracle witness rejected: permutation {' '.join(map(str, bad))} contains {label}")]
 
 
 def test_insertion_check_keeps_no_set_of_images(monkeypatch):

@@ -89,6 +89,37 @@ def test_contains_matches_reference_on_words_of_distinct_ints(pat, word):
     assert word_contains(word, pat) == ref_contains(word, pat)
 
 
+def _block_word(blocks):
+    """Runs of consecutive values, each ascending or descending, each placed
+    above or below every value so far: such words avoid many patterns, so a
+    search in them often runs to its end."""
+    word, low, high = [], 0, 0
+    for size, descending, above in blocks:
+        if above:
+            run, high = list(range(high, high + size)), high + size
+        else:
+            run, low = list(range(low - size, low)), low - size
+        word += run[::-1] if descending else run
+    return word
+
+
+@settings(max_examples=200, deadline=None)
+@given(pat=st.integers(4, 5).flatmap(lambda k: st.permutations(range(1, k + 1))),
+       word=st.integers(10, 16).flatmap(lambda n: st.permutations(range(n)))
+       | st.lists(st.tuples(st.integers(1, 4), st.booleans(), st.booleans()),
+                  min_size=3, max_size=8).map(_block_word).filter(lambda w: 10 <= len(w) <= 16))
+def test_contains_matches_reference_on_long_words(pat, word):
+    # long words and patterns of length 4 and 5, where the search fills and
+    # empties its stack of resume positions many times before it answers
+    assert word_contains(word, pat) == ref_contains(word, pat)
+
+
+def test_the_empty_pattern_and_the_empty_word():
+    assert word_contains((3, 1, 2), ())
+    assert word_contains((), ())
+    assert not word_contains((), (1,))
+
+
 def test_slot_bound_cache_leaves_no_reference_cycles():
     patterns._slot_bounds.cache_clear()
     gc.collect()
