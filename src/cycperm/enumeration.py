@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from . import _kernels
 from ._record import FrozenRecord, Record, set_field
-from .errors import EmptyInput, TooSmall
+from .errors import EmptyInput, PreconditionViolated, TooSmall
 from .patterns import Pattern, canonical_patterns
 from .perm import Permutation
 
@@ -58,14 +58,15 @@ class EnumerationResult(Record):
 def count_avoiders(req: EnumerationRequest) -> EnumerationResult:
     """Count all length-n permutations avoiding every pattern in the set."""
     if req.cyclic_only:
-        raise ValueError("count_avoiders requires a request with cyclic_only=False")
+        raise PreconditionViolated("count_avoiders requires a request with cyclic_only=False")
     return run_enumeration(req)
 
 
 def count_cyclic_avoiders(req: EnumerationRequest) -> EnumerationResult:
     """Count the n-cycles (as permutations) avoiding every pattern."""
     if not req.cyclic_only:
-        raise ValueError("count_cyclic_avoiders requires a request with cyclic_only=True")
+        raise PreconditionViolated(
+            "count_cyclic_avoiders requires a request with cyclic_only=True")
     return run_enumeration(req)
 
 
@@ -86,7 +87,7 @@ def run_enumeration(req: EnumerationRequest, sink=None) -> EnumerationResult:
     the result's ``witnesses`` is None.
     """
     if sink is not None and not req.collect:
-        raise ValueError("a witness sink requires a request with collect=True")
+        raise PreconditionViolated("a witness sink requires a request with collect=True")
     t0 = time.perf_counter()
     witnesses = None
     if req.collect and sink is None:

@@ -5,20 +5,19 @@ p contains q when some subsequence of p has the same pairwise order
 relations as q. Words with distinct (not necessarily contiguous) integer
 values are supported wherever containment only depends on relative order.
 
-Length-3 patterns get a dedicated O(n^2) scan. Every other length goes to
-a depth-first subsequence search that fills the pattern's slots left to
-right; a candidate for slot t is compared with two values only, those of
-its value-neighbours among slots 0..t-1 (the slots whose pattern entries
-are just below and just above pat[t]), which are precomputed per pattern.
-The search is one loop over an explicit stack that holds, per filled
-slot, the word position at which its scan resumes after a dead end; it
-makes no call per slot and builds no closure. The harness uses both to
-re-verify the oracle's witnesses independently of its search, so neither
-shares code or plans with the kernel.
+Containment is one depth-first subsequence search, for every pattern
+length, that fills the pattern's slots left to right; a candidate for
+slot t is compared with two values only, those of its value-neighbours
+among slots 0..t-1 (the slots whose pattern entries are just below and
+just above pat[t]), which are precomputed per pattern. The search is one
+loop over an explicit stack that holds, per filled slot, the word
+position at which its scan resumes after a dead end; it makes no call per
+slot and builds no closure. The harness uses it to re-verify the
+oracle's witnesses independently of its search, so it shares no code or
+plans with the kernel.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
@@ -107,50 +106,12 @@ def avoids_all(p: Permutation, qs: Iterable[Pattern]) -> bool:
 
 def word_contains(word: Sequence[int], pat: Sequence[int]) -> bool:
     """Containment on a word of distinct values (order-isomorphism only)."""
-    k = len(pat)
-    n = len(word)
-    if k > n:
-        return False
-    if k == 3:
-        return _contains_len3(word, pat)
-    return _contains_backtrack(word, pat)
-
-
-def _contains_len3(word: Sequence[int], pat: Sequence[int]) -> bool:
-    # For each middle element y, pick the extremal admissible first element
-    # x (extremal in the direction that least constrains the third element),
-    # then scan the suffix for a third element z. The prefix is kept sorted
-    # so the extremal x is a bisect away; total O(n^2). The rank of pat[2]
-    # among the three entries places z below, between or above x and y.
-    a, b, c = pat
-    rank = (c > a) + (c > b)
-    n = len(word)
-    prefix: list[int] = [word[0]]
-    for j in range(1, n - 1):
-        y = word[j]
-        if a < b:  # x below y: the least one when z is above x, else the greatest
-            pos = bisect_left(prefix, y)
-            x = (prefix[0] if c > a else prefix[pos - 1]) if pos else None
-        else:  # x above y: the greatest one when z is below x, else the least
-            pos = bisect_right(prefix, y)
-            x = (prefix[pos] if c > a else prefix[-1]) if pos < len(prefix) else None
-        if x is not None:
-            lo, hi = (x, y) if x < y else (y, x)
-            lo, hi = ((-inf, lo), (lo, hi), (hi, inf))[rank]
-            for z in word[j + 1:]:
-                if lo < z < hi:
-                    return True
-        insort(prefix, y)
-    return False
-
-
-def _contains_backtrack(word: Sequence[int], pat: Sequence[int]) -> bool:
     # Depth-first choice of positions for each pattern slot, left to right.
     # The new value only has to lie between the values of the slot's two
     # value-neighbours among the slots already placed (see _slot_bounds).
     # resume[t] is where slot t's scan goes on once slot t + 1 runs dry;
     # slot t may use positions up to stop - 1, which leaves room for the
-    # slots after it.
+    # slots after it, so a pattern longer than the word finds none.
     bounds = _slot_bounds(tuple(pat))
     k = len(bounds)
     if not k:

@@ -7,6 +7,7 @@ an equal table; TSV matches how the reference tables read.
 from __future__ import annotations
 
 from ._record import FrozenRecord, Record, set_field
+from .errors import PreconditionViolated
 
 PROVENANCES = ("oracle", "formula", "golden")
 
@@ -16,7 +17,7 @@ class Cell(FrozenRecord):
 
     def __init__(self, count: int, provenance: str):
         if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
+            raise PreconditionViolated(f"unknown provenance {provenance!r}")
         set_field(self, "count", count)
         set_field(self, "provenance", provenance)
 
@@ -33,7 +34,7 @@ class CountTable(Record):
             raise KeyError(f"unknown column {column!r}")
         if self.rows and n < max(self.rows):
             if n not in self.rows:
-                raise ValueError("rows must be added with n ascending")
+                raise PreconditionViolated("rows must be added with n ascending")
         self.rows.setdefault(n, {})[column] = Cell(count, provenance)
 
     def get(self, n: int, column: str) -> Cell:

@@ -19,7 +19,7 @@ from cycperm.enumeration import (
     list_cyclic_avoiders,
     run_enumeration,
 )
-from cycperm.errors import EmptyInput, TooSmall
+from cycperm.errors import EmptyInput, TooSmall, UsageError
 from cycperm.formulas import count_123_231
 from cycperm.patterns import LENGTH3_PATTERNS, avoids_all, parse_pattern
 from cycperm.perm import is_cyclic, make_permutation
@@ -163,6 +163,8 @@ def test_request_validation():
         EnumerationRequest(n=3, patterns=(parse_pattern("123"),), parallelism=0)
     with pytest.raises(ValueError):
         count_avoiders(EnumerationRequest(n=3, patterns=(parse_pattern("123"),)))
+    with pytest.raises(UsageError, match="a witness sink requires a request with collect=True"):
+        run_enumeration(EnumerationRequest(n=3, patterns=(parse_pattern("123"),)), [])
 
 
 def test_short_patterns_are_legal():

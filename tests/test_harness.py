@@ -291,19 +291,20 @@ def test_insertion_check_searches_once_per_n(monkeypatch):
 
 
 def test_insertion_check_keeps_no_list_of_witnesses(monkeypatch):
-    # 512 KiB sits between this check (about 16 KiB) and one that lists the
-    # 11,444 witnesses at n = 9 before checking them (about 2,270 KiB)
+    # 128 KiB sits between this check (about 16 KiB) and one that lists the
+    # 2,174 witnesses at n = 8 before checking them (300 KiB as one-line
+    # tuples, 420 KiB as permutations)
     import tracemalloc
 
     monkeypatch.setattr(harness, "_COUNT_CACHE", {})
     tracemalloc.start()
     try:
-        rep = check_insertion_theorem(parse_pattern("1432"), 10)
+        rep = check_insertion_theorem(parse_pattern("1432"), 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 512 * 1024
+    assert peak < 128 * 1024
 
 
 def test_k_minus_one_question():

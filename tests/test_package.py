@@ -1,9 +1,12 @@
 """The package's public names: resolved on first use, each one the object
 its submodule defines. Only the CLI reads the environment and knows the
-oracle cap."""
+oracle cap, and the witness re-checks' matcher stays apart from the
+kernel."""
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,17 @@ def test_only_the_cli_reads_the_environment():
     readers = sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
                      if re.search(r"os\.environ|getenv", path.read_text()))
     assert readers == ["cli.py"]
+
+
+def test_the_matcher_stays_apart_from_the_kernel():
+    # the harness re-checks the kernel's witnesses with patterns, so it
+    # neither names the kernel nor loads it
+    package = Path(cycperm.__file__).parent
+    assert "_kernels" not in (package / "patterns.py").read_text()
+    code = "import sys, cycperm.patterns; print('cycperm._kernels' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_only_the_cli_knows_the_oracle_cap():

@@ -1,6 +1,7 @@
 """CountTable formats: JSON round trip, TSV, provenance discipline."""
 import pytest
 
+from cycperm.errors import UsageError
 from cycperm.tables import Cell, CountTable
 
 
@@ -32,6 +33,8 @@ def test_provenance_required():
         Cell(1, "guess")
     with pytest.raises(KeyError):
         _sample().set(5, "999", 1, "oracle")
+    with pytest.raises(UsageError, match="unknown provenance 'guess'"):
+        _sample().set(5, "123", 1, "guess")
 
 
 def test_rows_ascending():
