@@ -187,14 +187,23 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 def _cache_key(n: int, labels: list[str], cyclic: bool) -> str:
     """The record key: a hash of the request and of the kernel version, so
     a count from a replaced kernel is a miss."""
-    import hashlib
     import json
+
+    # CPython's own SHA-256 module gives the same digest as hashlib, whose
+    # import maps OpenSSL's libcrypto and adds megabytes to a cached count.
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
 
     from ._kernels import KERNEL_VERSION
 
     blob = json.dumps({"n": n, "patterns": labels, "cyclic": cyclic, "kernel": KERNEL_VERSION},
                       sort_keys=True)
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+    return sha256(blob.encode("ascii")).hexdigest()
 
 
 #: A lookup reads the cache file from its end this many bytes at a time.

@@ -83,6 +83,28 @@ def test_single_pattern_symmetries():
         assert _cyclic(n, ("231",)).count == _cyclic(n, ("312",)).count
 
 
+def _skew_sum_of_runs(parts):
+    """The skew sum of increasing runs of consecutive values, highest run
+    first: (1, 2) gives 3 1 2."""
+    top, word = sum(parts), []
+    for size in parts:
+        word.extend(range(top - size + 1, top + 1))
+        top -= size
+    return word
+
+
+def test_open_pair_132_213_matches_the_composition_route():
+    # The avoiders of 132 and 213 are the skew sums of increasing runs, one
+    # per composition of n. No formula for their cyclic count is known.
+    pinned = [2, 4, 6, 12, 14, 32, 30, 76, 62, 170, 122, 370]
+    for n, want in zip(range(3, 15), pinned):
+        route = 0
+        for cuts in (c for k in range(n) for c in combinations(range(1, n), k)):
+            parts = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+            route += ref_is_cyclic(_skew_sum_of_runs(parts))
+        assert _cyclic(n, ("132", "213")).count == route == want, n
+
+
 def test_list_cyclic_avoiders():
     both = [parse_pattern("123"), parse_pattern("231")]
     assert [p.entries for p in list_cyclic_avoiders(3, both)] == [(3, 1, 2)]
