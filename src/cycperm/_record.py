@@ -8,8 +8,7 @@ set_field = object.__setattr__
 
 
 class Record:
-    """Shown as ``Name(field=value, ...)`` over ``_fields``, where a field
-    named with a leading underscore is compared but not shown; equal to a
+    """Shown as ``Name(field=value, ...)`` over ``_fields``; equal to a
     record of the same class whose fields are equal; unhashable unless frozen."""
 
     __slots__ = ()
@@ -24,7 +23,7 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_")
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 

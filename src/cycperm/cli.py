@@ -19,10 +19,10 @@ import os
 import sys
 
 from .errors import (
-    BadPattern,
     BadSetting,
     CycpermError,
     LimitExceeded,
+    TooSmall,
     UnknownSequence,
     UnsupportedPair,
     UsageError,
@@ -312,14 +312,19 @@ def _print_reports(reports: list[VerificationReport], fmt: str) -> int:
     return 2 if "evidence" in failed else 0
 
 
-def _n_range(args: argparse.Namespace) -> list[int]:
-    if args.n is not None and args.n_max is not None:
-        return list(range(args.n, args.n_max + 1))
-    if args.n is not None:
-        return [args.n]
-    if args.n_max is not None:
-        return list(range(1, args.n_max + 1))
-    raise BadPattern("one of --n / --n-max is required")
+def _some_n(args: argparse.Namespace, ns: range) -> range:
+    """Refuse a range that holds no n: its table or b-file would be empty."""
+    if not ns:
+        raise TooSmall(f"{args.command}: the requested range holds no n")
+    return ns
+
+
+def _n_range(args: argparse.Namespace) -> range:
+    if args.n is None and args.n_max is None:
+        raise BadSetting("one of --n / --n-max is required")
+    first = 1 if args.n is None else args.n
+    last = args.n if args.n_max is None else args.n_max
+    return _some_n(args, range(first, last + 1))
 
 
 def _pair(text: str | None) -> PairFormulaId:
@@ -338,8 +343,7 @@ def cmd_count(args: argparse.Namespace, cap: int) -> int:
     qs = parse_pattern_set(args.avoid)
     label = pattern_set_label(qs)
     ns = _n_range(args)
-    if ns:  # refuse the whole range before any cache lookup or search
-        check_cap(max(ns), cap)
+    check_cap(ns[-1], cap)  # refuse the whole range before any cache lookup or search
     if any(n > CLI_DEFAULT_CAP for n in ns):
         _warn(args, f"oracle runs above n = {CLI_DEFAULT_CAP} can take minutes (cap {cap})")
     table = CountTable(columns=(label,))
@@ -458,7 +462,9 @@ def cmd_export(args: argparse.Namespace, cap: int) -> int:
     if labels is None:
         known = ", ".join(sorted(OEIS_SEQUENCES))
         raise UnknownSequence(f"unknown sequence {args.seq!r} (supported: {known})")
-    ns = range(args.offset, args.n_max + 1)
+    if len(labels) == 1:
+        check_cap(args.n_max, cap)
+    ns = _some_n(args, range(args.offset, args.n_max + 1))
     if len(labels) == 2:
         from .formulas import pair_count, pair_id_from_labels
 
@@ -467,7 +473,6 @@ def cmd_export(args: argparse.Namespace, cap: int) -> int:
     else:
         from .patterns import parse_pattern
 
-        check_cap(args.n_max, cap)
         qs = (parse_pattern(labels[0]),)
         rows = [(n, _oracle_count(n, qs, True, None)) for n in ns]
     out_path = args.out or f"b{args.seq[1:]}.txt"

@@ -62,7 +62,7 @@ class VerificationReport(Record):
     """One claim's outcome per n; check functions fill it with ``record``
     and stamp its run time with ``done``, counted from construction."""
 
-    _fields = ("claim", "status", "counterexamples", "elapsed", "notes", "_t0")
+    _fields = ("claim", "status", "counterexamples", "elapsed", "notes")
 
     def __init__(self, claim: str, status: dict[int, bool] | None = None,
                  counterexamples: list[tuple[int, str]] | None = None,

@@ -28,11 +28,6 @@ from .perm import Permutation, make_permutation
 # A pattern is just a permutation acting as a template.
 Pattern = Permutation
 
-#: The six patterns of length three, in lexicographic order.
-LENGTH3_PATTERNS = tuple(
-    Permutation(t) for t in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
-)
-
 
 def parse_pattern(text: str) -> Pattern:
     """Parse a pattern from its compact form.

@@ -60,10 +60,6 @@ def parse_permutation(text: str) -> Permutation:
     return make_permutation(int(tok) for tok in text.split())
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """Cycle lengths of the functional digraph i -> p(i), longest first.
 
@@ -141,11 +137,3 @@ def reverse_complement(p: Permutation) -> Permutation:
     """
     n = len(p)
     return Permutation(tuple(n + 1 - x for x in reversed(p.entries)))
-
-
-def power(p: Permutation, k: int) -> Permutation:
-    """k-th power under left-to-right composition, k >= 0."""
-    result = identity(len(p))
-    for _ in range(k):
-        result = compose(result, p)
-    return result

@@ -1,8 +1,8 @@
 """Count tables: a grid of counts indexed by n and pattern-set label.
 
 Every cell carries provenance (oracle, formula, or golden) so verification
-output always says where a number came from. JSON output round-trips to
-an equal table; TSV matches how the reference tables read.
+output always says where a number came from. TSV matches how the
+reference tables read.
 """
 from __future__ import annotations
 
@@ -37,9 +37,6 @@ class CountTable(Record):
                 raise PreconditionViolated("rows must be added with n ascending")
         self.rows.setdefault(n, {})[column] = Cell(count, provenance)
 
-    def get(self, n: int, column: str) -> Cell:
-        return self.rows[n][column]
-
     def to_json(self) -> str:
         import json
 
@@ -57,17 +54,6 @@ class CountTable(Record):
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountTable":
-        import json
-
-        payload = json.loads(text)
-        table = cls(columns=tuple(payload["columns"]))
-        for row in payload["rows"]:
-            for col, cell in row["cells"].items():
-                table.set(row["n"], col, cell["count"], cell["provenance"])
-        return table
 
     def _grid(self, absent: str) -> list[list[str]]:
         """The header and one row per n, as text; ``absent`` fills an empty cell."""

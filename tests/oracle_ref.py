@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the package's algorithms:
 containment tries every subsequence, counts iterate over all n!
-permutations, and cyclicity follows the cycle by hand.
+permutations, cyclicity follows the cycle by hand, and a power applies
+the permutation step by step.
 """
 from itertools import combinations, permutations
 
@@ -33,6 +34,15 @@ def ref_is_cyclic(word):
         i = word[i - 1]
         seen += 1
     return seen == n
+
+
+def ref_power(word, k):
+    """The k-th power of a permutation in one-line notation, k >= 0, by
+    applying it k times to the identity."""
+    result = tuple(range(1, len(word) + 1))
+    for _ in range(k):
+        result = tuple(word[i - 1] for i in result)
+    return result
 
 
 def ref_count(n, pattern_list, cyclic_only):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cycperm import cli
-from cycperm.tables import CountTable
+from cycperm.errors import BadSetting
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -142,9 +142,11 @@ def test_env_cap_binds_verify():
 def test_count_range_json_round_trips():
     proc = run_cli("count", "--n", "3", "--n-max", "6", "--avoid", "321", "--format", "json")
     assert proc.returncode == 0
-    table = CountTable.from_json(proc.stdout)
-    assert [table.get(n, "321").count for n in (3, 4, 5, 6)] == [2, 4, 10, 24]
-    assert table.get(5, "321").provenance == "oracle"
+    payload = json.loads(proc.stdout)
+    assert payload["columns"] == ["321"]
+    assert [(row["n"], row["cells"]["321"]) for row in payload["rows"]] == [
+        (n, {"count": count, "provenance": "oracle"})
+        for n, count in ((3, 2), (4, 4), (5, 10), (6, 24))]
 
 
 def test_formula_command():
@@ -265,6 +267,32 @@ def test_a_claim_over_an_empty_range_is_refused(capsys, argv, claim):
     assert cli.main(argv) == 64
     assert capsys.readouterr() == (
         "", f"cycperm: error: {claim}: the requested range holds no n to check\n")
+
+
+# a count, formula or export whose range holds no n would print a bare
+# header, or replace the b-file with an empty one
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "3", "--n-max", "2", "--avoid", "123"],
+    ["formula", "--pair", "123,231", "--n-max", "0"],
+    ["export", "--seq", "A309563", "--n-max", "3", "--offset", "5", "--out", "{out}"],
+], ids=["count", "formula", "export"])
+def test_a_command_over_an_empty_range_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "b309563.txt"
+    out.write_text("old\n")
+    assert cli.main([a.replace("{out}", str(out)) for a in argv]) == 64
+    assert capsys.readouterr() == (
+        "", f"cycperm: error: {argv[0]}: the requested range holds no n\n")
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+@pytest.mark.parametrize("argv", [["count", "--avoid", "123"], ["formula", "--pair", "123,231"]],
+                         ids=["count", "formula"])
+def test_count_and_formula_need_an_n(capsys, argv):
+    assert cli.main(argv) == 64
+    assert capsys.readouterr() == ("", "cycperm: error: one of --n / --n-max is required\n")
+    with pytest.raises(BadSetting):
+        cli._n_range(cli.build_parser().parse_args(argv))
 
 
 def test_conjectures_from_the_smallest_nonempty_range_pass(capsys):

@@ -33,7 +33,7 @@ def test_reproduce_table_one_matches_golden():
     table = reproduce_table_one(8)
     for n in range(3, 9):
         for label, expected in zip(TABLE_ONE_COLUMNS, TABLE_ONE[n]):
-            cell = table.get(n, label)
+            cell = table.rows[n][label]
             assert cell.count == expected
             assert cell.provenance == "oracle"
 

@@ -1,12 +1,16 @@
 """The package's public names: resolved on first use, each one the object
-its submodule defines. Only the CLI reads the environment and knows the
-oracle cap, and the witness re-checks' matcher stays apart from the
-kernel."""
+its submodule defines. Every other top-level name serves the package's own
+code, and every docstring example holds. Only the CLI reads the environment
+and knows the oracle cap, and the witness re-checks' matcher stays apart
+from the kernel."""
+import ast
+import doctest
 import importlib
 import inspect
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,6 +59,57 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cycperm.no_such_name
     assert not hasattr(cycperm, "count_cyclic")
+
+
+def _definitions(tree):
+    """Each top-level function, class and assigned name, with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _named(node, modules):
+    """The names that ``node`` refers to: loaded names, imported names, and
+    attributes read from one of the package's modules."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in modules):
+            yield sub.attr
+
+
+def test_every_top_level_name_is_exported_or_used_by_the_package():
+    # a helper that only the tests call is not the package's code
+    package = Path(cycperm.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in _named(tree, trees))
+    unused = [f"{stem}.{name}" for stem, tree in trees.items()
+              for name, node in _definitions(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in cycperm.__all__
+              and uses[name] == Counter(_named(node, trees))[name]]
+    assert unused == []
+
+
+def test_docstring_examples_pass():
+    # importing cycperm.__main__ would run the CLI
+    package = Path(cycperm.__file__).parent
+    stems = sorted(path.stem for path in package.glob("*.py") if path.stem != "__main__")
+    attempted = 0
+    for stem in stems:
+        module = cycperm if stem == "__init__" else importlib.import_module(f"cycperm.{stem}")
+        failed, tried = doctest.testmod(module)
+        assert failed == 0, module.__name__
+        attempted += tried
+    assert attempted > 0
 
 
 def test_only_the_cli_reads_the_environment():

@@ -10,7 +10,6 @@ from cycperm.perm import (
     Permutation,
     compose,
     cycle_type,
-    identity,
     inverse,
     inversion_count,
     is_cyclic,
@@ -43,7 +42,7 @@ def test_cycle_type():
     assert cycle_type(make_permutation([2, 1])) == (2,)
     # trace by hand: 1->9->3->7->5->2->8->4->6->1
     assert cycle_type(make_permutation([9, 8, 7, 6, 2, 1, 5, 4, 3])) == (9,)
-    assert cycle_type(identity(4)) == (1, 1, 1, 1)
+    assert cycle_type(Permutation((1, 2, 3, 4))) == (1, 1, 1, 1)
 
 
 def test_cycle_type_sums_to_n():
@@ -71,20 +70,20 @@ def test_is_involution():
 
 
 def test_inversion_count():
-    assert inversion_count(identity(7)) == 0
+    assert inversion_count(Permutation(tuple(range(1, 8)))) == 0
     assert inversion_count(make_permutation([3, 1, 2])) == 2
     assert inversion_count(make_permutation([9, 8, 7, 6, 2, 1, 5, 4, 3])) == 30
 
 
 def test_compose_left_to_right():
     p = make_permutation([3, 1, 4, 2])
-    assert compose(p, identity(4)) == p
-    assert compose(identity(4), p) == p
-    assert compose(make_permutation([2, 1]), make_permutation([2, 1])) == identity(2)
+    assert compose(p, Permutation((1, 2, 3, 4))) == p
+    assert compose(Permutation((1, 2, 3, 4)), p) == p
+    assert compose(make_permutation([2, 1]), make_permutation([2, 1])) == Permutation((1, 2))
     # i -> s(r(i)) pointwise: r=231, s=231 gives 312
     assert compose(make_permutation([2, 3, 1]), make_permutation([2, 3, 1])).entries == (3, 1, 2)
     with pytest.raises(LengthMismatch):
-        compose(identity(3), identity(4))
+        compose(Permutation((1, 2, 3)), Permutation((1, 2, 3, 4)))
 
 
 def test_compose_associative():
@@ -103,7 +102,7 @@ def test_inverse():
     assert inverse(make_permutation([2, 4, 1, 3])) == make_permutation([3, 1, 4, 2])
     for n in range(1, 7):
         for p in map(Permutation, permutations(range(1, n + 1))):
-            assert compose(p, inverse(p)) == identity(n)
+            assert compose(p, inverse(p)) == Permutation(tuple(range(1, n + 1)))
 
 
 def test_reverse_complement():

@@ -95,7 +95,7 @@ def test_validation_errors(build, error, message):
         build()
 
 
-def test_count_table_round_trip_and_mutability():
+def test_count_table_repr_equality_and_mutability():
     table = CountTable(columns=("123", "231"))
     table.set(5, "123", 10, "oracle")
     table.set(5, "231", 5, "golden")
@@ -104,7 +104,6 @@ def test_count_table_round_trip_and_mutability():
         "CountTable(columns=('123', '231'), rows={5: {'123': Cell(count=10, "
         "provenance='oracle'), '231': Cell(count=5, provenance='golden')}, "
         "6: {'123': Cell(count=24, provenance='formula')}})")
-    assert CountTable.from_json(table.to_json()) == table
     assert CountTable(("123", "231"), dict(table.rows)) == table
     assert CountTable(("123",)) != table
     assert CountTable(("123",)).rows == {}
@@ -130,9 +129,9 @@ def test_verification_report_is_a_mutable_record():
     report = VerificationReport("TableOne")
     assert repr(report) == ("VerificationReport(claim='TableOne', status={}, "
                             "counterexamples=[], elapsed=0.0, notes=[])")
+    # equal fields make equal reports, whatever their start times
     twin = VerificationReport(claim="TableOne", status={}, counterexamples=[], elapsed=0.0,
                               notes=[])
-    twin._t0 = report._t0
     assert twin == report
     twin.record(3, False, "x")
     assert twin != report
