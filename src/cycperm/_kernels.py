@@ -39,7 +39,11 @@ the value it names does not exist):
   forbids the widest interval (v, u), and f lies in it.
 * 321 when min F < v < max U: some u > v, and an unused value below v.
 
-Patterns of length 2 and of length 4 or more keep the per-candidate walk.
+Patterns of length 2 and of length 4 or more keep the per-candidate walk
+over their occurrences. It loops over the values of every slot but the
+innermost, and settles the innermost slot with one mask test per value of
+the slot before it: the intervals that the innermost slot's fitting values
+forbid are nested, so their union is bounded by the extreme fitting value.
 
 A third rule, the pair lookahead, refuses a placement after which two
 unused values a < b can be placed in neither order. It is sound, because
@@ -133,7 +137,9 @@ def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
     whose pattern entries are just below and just above q[t]. Indices k-1
     and k stand for the bounds 0 and n + 1. ``lo`` and ``hi`` name that
     pair for q[k-1] among all k-1 slots: the interval the occurrence
-    forbids.
+    forbids. The walk loops over the fitting values of slots 0..k-4 and
+    settles the innermost slot, k-3, with one mask test per value of slot
+    k-4.
     """
     plans = []
     masked = set()
@@ -245,25 +251,37 @@ def _count_from_root(
 
     def blocked(gaps, lo, hi, vals, t, c0, used, rest):
         # Fill slot t from the values at positions c0..m-1 that fit its gap.
-        # At the innermost slot the forbidden intervals are nested, so
-        # their union is bounded by the extreme fitting value.
+        # A walked plan has no slot (length 2) or at least two (length 3 is
+        # masked), so t never starts at the innermost slot.
         if t == len(gaps):  # a pattern of length 2: only the new value
             return spans[vals[lo]][vals[hi]] & rest
         g_lo, g_hi = gaps[t]
         fits = (used ^ prefix[c0]) & spans[vals[g_lo]][vals[g_hi]]
-        if not fits:
+        j = t + 1
+        if j < len(gaps) - 1:
+            while fits:
+                bit = fits & -fits
+                fits ^= bit
+                w = bit.bit_length() - 1
+                vals[t] = w
+                if blocked(gaps, lo, hi, vals, j, pos[w] + 1, used, rest):
+                    return 1
             return 0
-        if t == len(gaps) - 1:
-            a = (fits & -fits).bit_length() - 1 if lo == t else vals[lo]
-            b = fits.bit_length() - 1 if hi == t else vals[hi]
-            return spans[a][b] & rest
+        # Slot j is the innermost: settle it for each value of slot t. Its
+        # forbidden intervals are nested, so their union is bounded by the
+        # extreme fitting value.
+        i_lo, i_hi = gaps[j]
         while fits:
             bit = fits & -fits
             fits ^= bit
             w = bit.bit_length() - 1
             vals[t] = w
-            if blocked(gaps, lo, hi, vals, t + 1, pos[w] + 1, used, rest):
-                return 1
+            inner = (used ^ prefix[pos[w] + 1]) & spans[vals[i_lo]][vals[i_hi]]
+            if inner:
+                a = (inner & -inner).bit_length() - 1 if lo == j else vals[lo]
+                b = inner.bit_length() - 1 if hi == j else vals[hi]
+                if spans[a][b] & rest:
+                    return 1
         return 0
 
     def descend(m, free):

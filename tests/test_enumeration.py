@@ -211,6 +211,15 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
 @example(pats=[[1, 2, 3], [1, 3, 2]], n=7)
 @example(pats=[[1, 2, 3], [2, 3, 1], [1, 4, 3, 2]], n=7)
 @example(pats=[[3, 1, 2], [3, 2, 1], [2, 1, 4, 3]], n=7)
+# the walk's innermost slot, settled in the loop over the slot before it, with
+# the interval it forbids bounded by the innermost slot (4231), by the new
+# value (4321) or by the loop's own slot (3412); below one recursive level
+# (52341); and a length-2 plan beside a length-4 one
+@example(pats=[[4, 2, 3, 1]], n=7)
+@example(pats=[[4, 3, 2, 1]], n=7)
+@example(pats=[[3, 4, 1, 2]], n=7)
+@example(pats=[[5, 2, 3, 4, 1]], n=7)
+@example(pats=[[1, 2], [4, 3, 2, 1]], n=7)
 def test_search_matches_full_enumeration(pats, n):
     pats = [tuple(p) for p in pats]
     qs = tuple(make_permutation(p) for p in pats)
@@ -313,6 +322,23 @@ def test_count_and_nodes_of_each_lookahead_combination_at_n12(pats, cyclic, ever
     assert _kernels.KERNEL_VERSION == 2
     assert _kernels._count_from_root(12, pats, True) == cyclic
     assert _kernels._count_from_root(12, pats, False) == every
+
+
+@pytest.mark.parametrize("labels, n, count, nodes", [
+    (("4321",), 9, 8686, 40869),
+    (("4231",), 9, 10512, 47193),
+    (("3412",), 9, 7068, 34011),
+    (("1432",), 9, 11444, 50761),
+    (("2143",), 9, 11240, 49585),
+    (("52341",), 9, 29914, 117592),
+    (("123", "1432"), 10, 374, 4837),
+])
+def test_count_and_nodes_of_walked_searches(labels, n, count, nodes):
+    # A cached count names the kernel by KERNEL_VERSION, so any change to
+    # these pins bumps it; a cheaper walk keeps them.
+    assert _kernels.KERNEL_VERSION == 2
+    pats = [tuple(map(int, label)) for label in labels]
+    assert _kernels._count_from_root(n, pats, True) == (count, nodes)
 
 
 @pytest.mark.parametrize("n", [1, 2])
