@@ -99,6 +99,21 @@ HH and MM can fire.
 Which combinations a set tests is fixed when it is compiled, so single
 patterns and sets with no tested combination pay nothing for the rule.
 
+Which combinations fire also depends on which symmetric image of a set is
+searched. The inverse and the reverse-complement rc map n-cycles to
+n-cycles, and p avoids q exactly when p^-1 avoids q^-1, and exactly when
+rc(p) avoids rc(q). So the four images Q, Q^-1, rc(Q) and rc(Q^-1) of a
+set have one count, cyclic and all, but not one cost: (132, 231) tests no
+combination and takes 90,485 nodes at n = 16, while its image (213, 231)
+tests MM and takes 10,294. A count-only request (enumeration.run_enumeration
+without collect) therefore searches _most_gated_image(Q), the image that
+tests the most combinations, or Q itself on a tie, and its nodes count
+that image's search; so do the ``nodes`` of a ``count --cache`` record.
+Witness listing searches Q as given, since an image's witnesses are other
+permutations. Choosing the image changes no count and nothing that
+_count_from_root returns for a given set, so KERNEL_VERSION, which keys
+cached counts, does not change with it.
+
 The last placement needs no node of its own. When placing v leaves one
 unused value w, w always fits: by the invariant the prefix followed by v
 forbids no unused value, so w completes no pattern; and in a cyclic search
@@ -162,10 +177,37 @@ def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
         *slot_gaps, (lo, hi) = gaps
         plans.append((tuple(slot_gaps), lo, hi, k))
     flags = tuple(q in masked for q in _MASKED)
+    return tuple(plans), flags, _gates(flags)
+
+
+def _gates(flags: Sequence[bool]) -> tuple:
+    """Which of the pair lookahead's combinations LL, LM, LH, MM, MH and HH
+    a set tests, from its six mask flags."""
     has123, has132, has213, has231, has312, has321 = flags
-    gates = (has123 and has132, has123 and has231, has123 and has321,
-             has213 and has231, has213 and has321, has312 and has321)
-    return tuple(plans), flags, gates
+    return (has123 and has132, has123 and has231, has123 and has321,
+            has213 and has231, has213 and has321, has312 and has321)
+
+
+def _inverse(q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(1, len(q) + 1), key=lambda i: q[i - 1]))
+
+
+def _reverse_complement(q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(len(q) + 1 - v for v in reversed(q))
+
+
+@lru_cache(maxsize=64)
+def _most_gated_image(patterns: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Of the four images Q, Q^-1, rc(Q) and rc(Q^-1) of the set Q, the one
+    whose length-3 patterns turn on the most pair lookahead combinations;
+    Q itself on a tie. The four have the same count, cyclic and all (see
+    the module docstring)."""
+    if sum(len(q) == 3 for q in patterns) < 2:
+        return patterns  # no image of this set turns on a combination
+    inverse = tuple(map(_inverse, patterns))
+    images = (patterns, inverse, tuple(map(_reverse_complement, patterns)),
+              tuple(map(_reverse_complement, inverse)))
+    return max(images, key=lambda qs: sum(_gates([q in qs for q in _MASKED])))
 
 
 @lru_cache(maxsize=16)

@@ -85,6 +85,11 @@ def run_enumeration(req: EnumerationRequest, sink=None) -> EnumerationResult:
     caller passes a ``sink``: then the search hands each witness's one-line
     tuple to ``sink.append`` as it finds it, in lexicographic order, and
     the result's ``witnesses`` is None.
+
+    A count-only request searches the symmetric image of its set that turns
+    on the most pair lookahead combinations (_kernels._most_gated_image),
+    which has the same count; ``nodes_visited`` counts that image's search.
+    A collecting request searches its set as given.
     """
     if sink is not None and not req.collect:
         raise PreconditionViolated("a witness sink requires a request with collect=True")
@@ -92,9 +97,10 @@ def run_enumeration(req: EnumerationRequest, sink=None) -> EnumerationResult:
     witnesses = None
     if req.collect and sink is None:
         sink = witnesses = []
-    count, nodes = _kernels._count_from_root(
-        req.n, [q.entries for q in req.patterns], req.cyclic_only, sink
-    )
+    patterns = tuple([q.entries for q in req.patterns])
+    if not req.collect:  # an image's witnesses would be other permutations
+        patterns = _kernels._most_gated_image(patterns)
+    count, nodes = _kernels._count_from_root(req.n, patterns, req.cyclic_only, sink)
     return EnumerationResult(
         count=count,
         witnesses=None if witnesses is None else [Permutation(w) for w in witnesses],

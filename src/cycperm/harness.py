@@ -216,7 +216,13 @@ def check_triple_formula(n_max: int = 60) -> VerificationReport:
 
 
 def check_chain_conjecture(n_max: int, workers: int = 1) -> VerificationReport:
-    """The conjectured ordering among the six single-pattern counts."""
+    """The conjectured ordering among the six single-pattern counts.
+
+    Two of its links hold at every n by symmetry, so they are theorems and
+    not evidence: the inverse and the reverse-complement keep a pattern's
+    count (see _kernels), 213 is the reverse-complement of 132, and 312 is
+    the inverse of 231. The report checks them with the rest.
+    """
     rep = VerificationReport("ChainConjecture")
     for n in range(3, n_max + 1):
         c = {label: cyclic_count(_patterns_of(label), n) for label in TABLE_ONE_COLUMNS}

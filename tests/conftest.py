@@ -19,3 +19,11 @@ def _children_import_the_tested_package():
         for name in ("CYCPERM_ORACLE_CAP", "CYCPERM_WORKERS"):
             mp.delenv(name, raising=False)
         yield
+
+
+@pytest.fixture(scope="session")
+def triples_to_60():
+    """``all_triples(n)`` for n = 3..60, built once for every test that sweeps it."""
+    from cycperm.layered import all_triples
+
+    return {n: tuple(all_triples(n)) for n in range(3, 61)}

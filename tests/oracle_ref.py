@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the package's algorithms:
 containment tries every subsequence, counts iterate over all n!
-permutations, cyclicity follows the cycle by hand, and a power applies
-the permutation step by step.
+permutations, cyclicity follows the cycle by hand, a power applies
+the permutation step by step, and the inverse and reverse-complement are
+built entry by entry.
 """
 from itertools import combinations, permutations
 
@@ -43,6 +44,21 @@ def ref_power(word, k):
     for _ in range(k):
         result = tuple(word[i - 1] for i in result)
     return result
+
+
+def ref_inverse(word):
+    """The inverse in one-line notation: value v at position i becomes
+    value i at position v."""
+    inverse = [0] * len(word)
+    for i, v in enumerate(word, 1):
+        inverse[v - 1] = i
+    return tuple(inverse)
+
+
+def ref_reverse_complement(word):
+    """Read right to left, with each value v replaced by n + 1 - v."""
+    n = len(word)
+    return tuple(n + 1 - word[n - 1 - i] for i in range(n))
 
 
 def ref_count(n, pattern_list, cyclic_only):

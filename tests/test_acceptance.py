@@ -25,7 +25,6 @@ from cycperm.harness import (
     cyclic_count,
 )
 from cycperm.layered import (
-    all_triples,
     classify_triple_formula,
     enumerate_good_triples,
     inversion_count_formula,
@@ -83,12 +82,12 @@ def test_criterion_2_formula_vs_oracle():
     _report(2, "formula equals oracle for all 7 pairs, n = 3..11", not bad, t0)
 
 
-def test_criterion_3_good_triple_characterization():
+def test_criterion_3_good_triple_characterization(triples_to_60):
     t0 = time.perf_counter()
     ok = all(
         classify_triple_formula(t).good == is_good_triple_direct(t)
         for n in range(3, 61)
-        for t in all_triples(n)
+        for t in triples_to_60[n]
     )
     _report(3, "goodness clauses agree with cycle tracing on all triples, n = 3..60", ok, t0)
 
@@ -125,12 +124,12 @@ def test_criterion_5_special_values_and_bounds():
     _report(5, "C_2 = 1, C_26 = 18 attains (3n-6)/4; both bounds hold to n = 10000", ok, t0)
 
 
-def test_criterion_6_inversion_formula():
+def test_criterion_6_inversion_formula(triples_to_60):
     t0 = time.perf_counter()
     ok = True
     even_cyclic = []
     for n in range(3, 61):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             p = permutation_of_triple(t)
             if inversion_count_formula(t) != _direct_inversions(p.entries):
                 ok = False

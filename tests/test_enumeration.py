@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_ref import ref_avoids, ref_count, ref_is_cyclic, ref_list
+from oracle_ref import (
+    ref_avoids,
+    ref_count,
+    ref_inverse,
+    ref_is_cyclic,
+    ref_list,
+    ref_reverse_complement,
+)
 
 from cycperm import _kernels, cli
 from cycperm.enumeration import (
@@ -28,6 +35,10 @@ from cycperm.perm import is_cyclic, make_permutation
 def _cyclic(n, labels, **kw):
     req = EnumerationRequest(n=n, patterns=tuple(parse_pattern(l) for l in labels), **kw)
     return count_cyclic_avoiders(req)
+
+
+def _entries(labels):
+    return [tuple(map(int, label)) for label in labels]
 
 
 def _all(n, labels, **kw):
@@ -236,6 +247,56 @@ def test_search_matches_full_enumeration(pats, n):
             assert (r.count, r.nodes_visited) == (want, results[0].nodes_visited)
 
 
+def _images(pats):
+    """The four symmetric images Q, Q^-1, rc(Q) and rc(Q^-1) of a set."""
+    inverse = [ref_inverse(q) for q in pats]
+    return (list(pats), inverse, [ref_reverse_complement(q) for q in pats],
+            [ref_reverse_complement(q) for q in inverse])
+
+
+@settings(max_examples=100, deadline=None)
+@given(pats=st.lists(st.integers(2, 5).flatmap(lambda k: st.permutations(range(1, k + 1))),
+                     min_size=1, max_size=3),
+       n=st.integers(1, 8))
+# an image that turns the pair lookahead on, beside one that turns it off
+@example(pats=[[1, 3, 2], [2, 3, 1]], n=8)
+@example(pats=[[1, 2, 3], [2, 3, 1]], n=8)
+@example(pats=[[1, 3, 2], [2, 3, 1], [3, 2, 1]], n=8)
+# a walked pattern beside the masked ones
+@example(pats=[[1, 3, 2], [2, 3, 1], [4, 3, 2, 1]], n=8)
+@example(pats=[[2, 1], [3, 4, 1, 2]], n=8)
+def test_the_four_symmetric_images_have_equal_counts(pats, n):
+    # The inverse and the reverse-complement map n-cycles to n-cycles, and p
+    # avoids q exactly when p^-1 avoids q^-1 and rc(p) avoids rc(q). The
+    # images are built here, not by the rule that picks one to search.
+    images = _images([tuple(q) for q in pats])
+    for cyclic_only in (True, False):
+        counts = [_kernels._count_from_root(n, qs, cyclic_only)[0] for qs in images]
+        assert counts == [counts[0]] * 4, (images, cyclic_only)
+
+
+@pytest.mark.parametrize("gated, ungated, n, count", [
+    # Every class of length-3 sets in which one image turns the pair
+    # lookahead on and another turns it off: the search with it against the
+    # search without it, at an n the reference enumeration cannot reach.
+    (("123", "132"), ("123", "213"), 22, 1024),
+    (("123", "231"), ("123", "312"), 40, 8),
+    (("213", "231"), ("132", "231"), 16, 2048),
+    (("213", "321"), ("132", "321"), 40, 16),
+    (("312", "321"), ("231", "321"), 40, 1),
+    (("123", "132", "231"), ("123", "213", "312"), 40, 1),
+    (("132", "213", "231"), ("132", "213", "312"), 40, 2),
+    (("213", "231", "312"), ("132", "231", "312"), 40, 0),
+    (("213", "231", "321"), ("132", "231", "321"), 40, 1),
+])
+def test_a_gated_set_and_its_ungated_image_agree_at_large_n(gated, ungated, n, count):
+    assert any(_kernels._compile_patterns(tuple(_entries(gated)))[2])
+    assert not any(_kernels._compile_patterns(tuple(_entries(ungated)))[2])
+    assert _entries(ungated) in _images(_entries(gated))
+    assert _kernels._count_from_root(n, _entries(gated), True)[0] == count
+    assert _kernels._count_from_root(n, _entries(ungated), True)[0] == count
+
+
 _LENGTH3_SETS = [qs for r in (1, 2, 3)
                  for qs in combinations(permutations((1, 2, 3)), r)]
 
@@ -258,11 +319,34 @@ def test_every_set_of_length3_patterns_matches_full_enumeration():
 @pytest.mark.parametrize("cyclic_only, count, nodes", [(True, 2906, 20957),
                                                        (False, 32116, 113540)])
 def test_totals_over_the_length3_sets_at_n9(cyclic_only, count, nodes):
+    found = [_kernels._count_from_root(9, qs, cyclic_only) for qs in _LENGTH3_SETS]
+    assert sum(c for c, _ in found) == count
+    assert sum(v for _, v in found) == nodes
+    # A count-only request searches its set's most gated image instead.
     results = [run_enumeration(EnumerationRequest(
         n=9, patterns=tuple(make_permutation(q) for q in qs), cyclic_only=cyclic_only))
         for qs in _LENGTH3_SETS]
     assert sum(r.count for r in results) == count
-    assert sum(r.nodes_visited for r in results) == nodes
+    assert sum(r.nodes_visited for r in results) == (19815 if cyclic_only else 111149)
+
+
+def test_count_only_requests_search_the_most_gated_image():
+    def gates(qs):
+        return sum(_kernels._compile_patterns(tuple(map(tuple, qs)))[2])
+
+    for qs in _LENGTH3_SETS:
+        picked = _kernels._most_gated_image(qs)
+        images = _images(qs)
+        assert list(picked) in images
+        assert gates(picked) == max(map(gates, images))
+        if gates(qs) == gates(picked):  # the set itself on a tie
+            assert picked == qs
+        for cyclic_only in (True, False):
+            req = EnumerationRequest(n=8, patterns=tuple(make_permutation(q) for q in qs),
+                                     cyclic_only=cyclic_only)
+            res = run_enumeration(req)
+            assert (res.count, res.nodes_visited) == _kernels._count_from_root(
+                8, picked, cyclic_only)
 
 
 # One set per combination of an ascending-ending and a descending-ending
@@ -337,8 +421,7 @@ def test_count_and_nodes_of_walked_searches(labels, n, count, nodes):
     # A cached count names the kernel by KERNEL_VERSION, so any change to
     # these pins bumps it; a cheaper walk keeps them.
     assert _kernels.KERNEL_VERSION == 2
-    pats = [tuple(map(int, label)) for label in labels]
-    assert _kernels._count_from_root(n, pats, True) == (count, nodes)
+    assert _kernels._count_from_root(n, _entries(labels), True) == (count, nodes)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -403,8 +486,15 @@ def test_node_totals_of_the_table_one_and_pair_sweeps():
                  ("123", "132", "213", "231", "312", "321")]
     pairs = [(n, tuple(pair.value.split(","))) for n in range(3, 10) for pair in PairFormulaId]
     assert (len(table_one), len(pairs)) == (36, 49)
+    assert sum(_kernels._count_from_root(n, _entries(labels), True)[1]
+               for n, labels in table_one) == 8836
+    assert sum(_kernels._count_from_root(n, _entries(labels), True)[1]
+               for n, labels in pairs) == 1944
+    # A count-only request searches its set's most gated image: single
+    # patterns are searched as given, and (132,231), (132,321) and (231,321)
+    # are redirected to (213,231), (213,321) and (312,321).
     assert sum(_cyclic(n, labels).nodes_visited for n, labels in table_one) == 8836
-    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 1944
+    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 1151
 
 
 def test_the_hardest_pair_attains_its_bound_at_n26():
@@ -428,7 +518,11 @@ def test_the_hardest_pair_attains_its_bound_at_n26():
     (("132", "231", "312"), 25),
 ])
 def test_sets_the_lookahead_cannot_prune_keep_their_nodes(labels, nodes):
-    assert _cyclic(10, labels).nodes_visited == nodes
+    assert _kernels._count_from_root(10, _entries(labels), True)[1] == nodes
+    # A count-only request searches the most gated image instead, which for
+    # these three sets turns on MM.
+    routed = {("132", "312"): 249, ("132", "213", "312"): 32, ("132", "231", "312"): 5}
+    assert _cyclic(10, labels).nodes_visited == routed.get(labels, nodes)
 
 
 def test_pattern_sets_compile_once():

@@ -41,9 +41,9 @@ def test_permutation_of_triple_examples():
     )
 
 
-def test_construction_avoids_both_patterns():
+def test_construction_avoids_both_patterns(triples_to_60):
     for n in range(3, 61):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             assert avoids_all(permutation_of_triple(t), BOTH)
 
 
@@ -56,9 +56,9 @@ def test_triple_of_permutation():
     assert triple_of_permutation(make_permutation([2, 1, 5, 4, 3])) is None
 
 
-def test_round_trip():
+def test_round_trip(triples_to_60):
     for n in range(3, 61):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             assert triple_of_permutation(permutation_of_triple(t)) == t
 
 
@@ -68,9 +68,9 @@ def test_inversion_count_formula_examples():
     assert inversion_count_formula(Triple(8, 4, 6)) == 28 + 6 + 15 + 80  # = 129
 
 
-def test_inversion_formula_matches_direct_count():
+def test_inversion_formula_matches_direct_count(triples_to_60):
     for n in range(3, 31):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             assert inversion_count_formula(t) == inversion_count(permutation_of_triple(t))
 
 
@@ -94,19 +94,19 @@ def test_classify_examples():
         assert (got.good, got.reason) == (good, reason), t
 
 
-def test_formula_agrees_with_direct_everywhere():
+def test_formula_agrees_with_direct_everywhere(triples_to_60):
     seen_reasons = set()
     for n in range(3, 61):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             cls = classify_triple_formula(t)
             assert cls.good == is_good_triple_direct(t), t
             seen_reasons.add(cls.reason)
     assert seen_reasons == set(TripleReason)  # every clause fires somewhere
 
 
-def test_goodness_symmetric_in_bc_with_equal_cycle_type():
+def test_goodness_symmetric_in_bc_with_equal_cycle_type(triples_to_60):
     for n in range(3, 41):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             swapped = Triple(t.a, t.c, t.b)
             assert is_good_triple_direct(t) == is_good_triple_direct(swapped)
             assert cycle_type(permutation_of_triple(t)) == cycle_type(
@@ -114,11 +114,11 @@ def test_goodness_symmetric_in_bc_with_equal_cycle_type():
             )
 
 
-def test_necessary_conditions_for_good_triples():
+def test_necessary_conditions_for_good_triples(triples_to_60):
     from math import gcd
 
     for n in range(3, 61):
-        for t in all_triples(n):
+        for t in triples_to_60[n]:
             if not classify_triple_formula(t).good:
                 continue
             assert t.a <= n // 2 and t.b <= n // 2 and t.c <= n // 2
