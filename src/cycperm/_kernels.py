@@ -59,60 +59,45 @@ both, as (u, a, b) or (u, b, a) with u in U'. Among length-3 patterns:
   conditions.
 
 The placement is dead when some a < b in F' meets an ascending condition X
-and a descending one Y. Six of the nine combinations are tested. The other
-three never fire under the invariant, so a set gates them off; in each,
-whichever of two placed values comes first already forbids a or b:
+and a descending one Y. The search tests two of the nine combinations, LL
+(123, 132) and MM (213, 231), once per node, not once per candidate: their
+two patterns are in the set, so their own refusals above already leave
+only a few candidates, and on those each combination dooms one interval.
+Write m for the least placed value and p and P for the least and greatest
+unused ones, before the placement (m = n + 1 when none is placed); a
+candidate v < m becomes min U'.
 
-* ML (213, 132), with min U' < a < u < b: min U' then u forbids a by 132;
-  u then min U' forbids b by 213.
-* HL (312, 132), with min U' < a < b < max U': min U' then max U' forbids
-  a by 132; max U' then min U' forbids a by 312.
-* HM (312, 231), with a < u < b < max U': u then max U' forbids a by 231;
-  max U' then u forbids b by 312.
+* LL: every v < m below the second greatest unused value. Above m, 123 and
+  132 leave a candidate only when it is the one unused value there, and
+  placing it leaves none above m.
+* MM: every v in (p, P). 213 and 231 leave p or P only when no placed value
+  lies between p and P, and then neither is doomed.
 
-The six are tested once per node, not once per candidate. A gated
-combination's two patterns are in the set, so their own refusals above
-already leave only a few candidates; on those, each combination dooms
-one or two intervals, read off the node's extremes. Write m and M for the
-least and greatest placed values and p and P for the least and greatest
-unused ones, before the placement; a candidate v < m becomes min U', and
-one above M becomes max U'. With no placed value, v is both, and only LL,
-HH and MM can fire.
+Three combinations never fire under the invariant: in ML (213, 132), HL
+(312, 132) and HM (312, 231), whichever of two placed values comes first
+already forbids a or b. The other four, LM (123, 231), LH (123, 321), MH
+(213, 321) and HH (312, 321), do fire but are not tested; the search leaves
+them to the choice of image below.
 
-* LL (123, 132): every v < m below the second greatest unused value.
-  Above m, 123 and 132 leave a candidate only when it is the one unused
-  value there, and placing it leaves none above m.
-* HH (312, 321), the mirror: every v > M above the second least unused
-  value.
-* LH (123, 321): p, when p < m and two unused values lie in (p, M); P,
-  when P > M and two unused values lie in (m, P). No other candidate is
-  left.
-* MM (213, 231): every v in (p, P). 213 and 231 leave p or P only when no
-  placed value lies between p and P, and then neither is doomed.
-* LM (123, 231): with x the greatest placed value below P, every v < m
-  below the greatest unused value under x, which serves as a, x as u and
-  P as b. Above m, only P can be left, and only when no placed value lies
-  in (p, P); then none lies between two unused values after it.
-* MH (213, 321), the mirror of LM: with y the least placed value above p,
-  every v > M above the least unused value over y.
-
-Which combinations a set tests is fixed when it is compiled, so single
-patterns and sets with no tested combination pay nothing for the rule.
-
-Which combinations fire also depends on which symmetric image of a set is
+Which combinations a set meets depends on which symmetric image of it is
 searched. The inverse and the reverse-complement rc map n-cycles to
 n-cycles, and p avoids q exactly when p^-1 avoids q^-1, and exactly when
-rc(p) avoids rc(q). So the four images Q, Q^-1, rc(Q) and rc(Q^-1) of a
-set have one count, cyclic and all, but not one cost: (132, 231) tests no
-combination and takes 90,485 nodes at n = 16, while its image (213, 231)
-tests MM and takes 10,294. A count-only request (enumeration.run_enumeration
-without collect) therefore searches _most_gated_image(Q), the image that
-tests the most combinations, or Q itself on a tie, and its nodes count
-that image's search; so do the ``nodes`` of a ``count --cache`` record.
-Witness listing searches Q as given, since an image's witnesses are other
-permutations. Choosing the image changes no count and nothing that
-_count_from_root returns for a given set, so KERNEL_VERSION, which keys
-cached counts, does not change with it.
+rc(p) avoids rc(q). So the four images Q, Q^-1, rc(Q) and rc(Q^-1) of a set
+have one count, cyclic and all, but not one cost. Every oracle request
+(enumeration.run_enumeration) searches _most_gated_image(Q): the image that
+meets the most tested combinations less the untested ones, Q itself on a
+tie. (123, 231) meets LM and goes to (123, 312), which meets none and takes
+655 nodes at n = 18 against 131,201; (132, 231) meets none and goes to
+(213, 231), which tests MM and takes 10,294 nodes at n = 16 against 90,485.
+LL and MM stay because some sets have no cheap image without them:
+(123, 132)'s only other image is (123, 213), which takes 14,573 nodes at
+n = 18 against 3,070, and every image of (132, 231) but (213, 231) meets no
+tested combination. A listing maps each of the image's witnesses back by
+the inverse, rc, or both, and sorts them, so it lists Q's avoiders in
+lexicographic order as a search of Q would; a set that is its own image
+hands each witness to the sink as the search finds it. The nodes of a
+request, and of a ``count --cache`` record, count the searched image's
+nodes.
 
 The last placement needs no node of its own. When placing v leaves one
 unused value w, w always fits: by the invariant the prefix followed by v
@@ -130,7 +115,7 @@ from typing import Iterable, Optional, Sequence
 
 #: Names the search behind every count and node total; bumped by any change
 #: to what _count_from_root returns, so a cached count never outlives it.
-KERNEL_VERSION = 2
+KERNEL_VERSION = 3
 
 #: The length-3 patterns, in the order of the flags _compile_patterns returns.
 _MASKED = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -139,22 +124,21 @@ _MASKED = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 @lru_cache(maxsize=64)
 def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
     """The plans (gaps, lo, hi, k) of the walked patterns, six mask flags
-    and six gate flags.
+    and two gate flags.
 
     Mask flag j says that the set holds _MASKED[j], which the per-node mask
-    refuses; every other pattern is walked. The gate flags say which of the
-    pair lookahead's combinations LL, LM, LH, MM, MH and HH the set tests.
-    Returns None when a pattern has length 1, which nothing avoids. For a
-    walked pattern q of length k = 2 or k >= 4, an occurrence of q[:k-1]
-    that ends at a newly placed value fills slot k-2 with that value and
-    then slots 0..k-3 left to right; the value of slot t must lie in the
-    open interval between the values of ``gaps[t]``, the two filled slots
-    whose pattern entries are just below and just above q[t]. Indices k-1
-    and k stand for the bounds 0 and n + 1. ``lo`` and ``hi`` name that
-    pair for q[k-1] among all k-1 slots: the interval the occurrence
-    forbids. The walk loops over the fitting values of slots 0..k-4 and
-    settles the innermost slot, k-3, with one mask test per value of slot
-    k-4.
+    refuses; every other pattern is walked. The gate flags say whether the
+    set tests the pair lookahead's combinations LL and MM. Returns None
+    when a pattern has length 1, which nothing avoids. For a walked pattern
+    q of length k = 2 or k >= 4, an occurrence of q[:k-1] that ends at a
+    newly placed value fills slot k-2 with that value and then slots 0..k-3
+    left to right; the value of slot t must lie in the open interval
+    between the values of ``gaps[t]``, the two filled slots whose pattern
+    entries are just below and just above q[t]. Indices k-1 and k stand for
+    the bounds 0 and n + 1. ``lo`` and ``hi`` name that pair for q[k-1]
+    among all k-1 slots: the interval the occurrence forbids. The walk
+    loops over the fitting values of slots 0..k-4 and settles the innermost
+    slot, k-3, with one mask test per value of slot k-4.
     """
     plans = []
     masked = set()
@@ -177,37 +161,47 @@ def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
         *slot_gaps, (lo, hi) = gaps
         plans.append((tuple(slot_gaps), lo, hi, k))
     flags = tuple(q in masked for q in _MASKED)
-    return tuple(plans), flags, _gates(flags)
-
-
-def _gates(flags: Sequence[bool]) -> tuple:
-    """Which of the pair lookahead's combinations LL, LM, LH, MM, MH and HH
-    a set tests, from its six mask flags."""
-    has123, has132, has213, has231, has312, has321 = flags
-    return (has123 and has132, has123 and has231, has123 and has321,
-            has213 and has231, has213 and has321, has312 and has321)
+    has123, has132, has213, has231 = flags[:4]
+    return tuple(plans), flags, (has123 and has132, has213 and has231)
 
 
 def _inverse(q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(range(1, len(q) + 1), key=lambda i: q[i - 1]))
+    inverse = [0] * len(q)
+    for i, v in enumerate(q, 1):
+        inverse[v - 1] = i
+    return tuple(inverse)
 
 
 def _reverse_complement(q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(len(q) + 1 - v for v in reversed(q))
+    top = len(q) + 1
+    return tuple([top - v for v in reversed(q)])
+
+
+def _inverse_of_rc(q: tuple[int, ...]) -> tuple[int, ...]:
+    return _inverse(_reverse_complement(q))
+
+
+def _gain(patterns: tuple[tuple[int, ...], ...]) -> int:
+    """The pair lookahead combinations a set meets that the search tests
+    (LL, MM), less those it meets that the search does not (LM, LH, MH, HH)."""
+    has123, has132, has213, has231, has312, has321 = (q in patterns for q in _MASKED)
+    return ((has123 and has132) + (has213 and has231)
+            - has123 * (has231 + has321) - has321 * (has213 + has312))
 
 
 @lru_cache(maxsize=64)
-def _most_gated_image(patterns: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Of the four images Q, Q^-1, rc(Q) and rc(Q^-1) of the set Q, the one
-    whose length-3 patterns turn on the most pair lookahead combinations;
-    Q itself on a tie. The four have the same count, cyclic and all (see
-    the module docstring)."""
+def _most_gated_image(patterns: tuple[tuple[int, ...], ...]) -> tuple:
+    """(image, back): of the four images Q, Q^-1, rc(Q) and rc(Q^-1) of the
+    set Q, the one with the greatest _gain, Q itself on a tie, and the map
+    that takes the image's avoiders to Q's (None for Q itself). The four
+    have the same count, cyclic and all (see the module docstring)."""
     if sum(len(q) == 3 for q in patterns) < 2:
-        return patterns  # no image of this set turns on a combination
+        return patterns, None  # no image of this set meets a combination
     inverse = tuple(map(_inverse, patterns))
-    images = (patterns, inverse, tuple(map(_reverse_complement, patterns)),
-              tuple(map(_reverse_complement, inverse)))
-    return max(images, key=lambda qs: sum(_gates([q in qs for q in _MASKED])))
+    images = ((patterns, None), (inverse, _inverse),
+              (tuple(map(_reverse_complement, patterns)), _reverse_complement),
+              (tuple(map(_reverse_complement, inverse)), _inverse_of_rc))
+    return max(images, key=lambda image: _gain(image[0]))
 
 
 @lru_cache(maxsize=16)
@@ -219,46 +213,20 @@ def _spans(n: int) -> tuple:
     )
 
 
-def _doomed(used: int, free: int, u_min: int, u_max: int, f_min: int, f_max: int,
-            gates: tuple, spans: tuple, top: int) -> int:
+def _doomed(free: int, u_min: int, f_min: int, f_max: int, ll: bool, mm: bool,
+            spans: tuple) -> int:
     """The mask of the candidates that the pair lookahead refuses, for the
-    combinations ``gates`` flags (LL, LM, LH, MM, MH, HH); ``used`` and
-    ``free`` are the masks of the placed and unused values before the
-    placement, and u_min, u_max, f_min and f_max their extremes. Its bits
-    are exact on the candidates that the length-3 mask leaves and mean
-    nothing elsewhere; see the module docstring."""
+    combinations LL and MM as flagged; ``free`` is the mask of the unused
+    values before the placement, u_min the least placed value (n + 1 when
+    none is), and f_min and f_max the extremes of ``free``. Its bits are
+    exact on the candidates that the length-3 mask leaves and mean nothing
+    elsewhere; see the module docstring."""
     rest = free & (free - 1)
     if not rest & (rest - 1):  # fewer than two values would stay unused
         return 0
-    ll, lm, lh, mm, mh, hh = gates
-    out = 0
+    out = spans[f_min][f_max] if mm else 0
     if ll:
         out |= spans[0][min(u_min, (free ^ (1 << f_max)).bit_length() - 1)]
-    if hh:
-        out |= spans[max(u_max, (rest & -rest).bit_length() - 1)][top]
-    if lh:
-        w = free & spans[0][u_max]
-        if w & (w - 1):
-            w ^= 1 << (w.bit_length() - 1)
-            out |= spans[0][min(u_min, w.bit_length() - 1)]
-        w = free & spans[u_min][top]
-        w &= w - 1
-        if w:
-            out |= spans[max(u_max, (w & -w).bit_length() - 1)][top]
-    if mm:
-        out |= spans[f_min][f_max]
-    if lm:
-        w = used & spans[0][f_max]
-        if w:
-            w = free & spans[0][w.bit_length() - 1]
-            if w:
-                out |= spans[0][min(u_min, w.bit_length() - 1)]
-    if mh:
-        w = used & spans[f_min][top]
-        if w:
-            w = free & spans[(w & -w).bit_length() - 1][top]
-            if w:
-                out |= spans[max(u_max, (w & -w).bit_length() - 1)][top]
     return out
 
 
@@ -274,10 +242,10 @@ def _count_from_root(
     compiled = _compile_patterns(tuple(map(tuple, patterns)))
     if compiled is None:
         return 0, 0
-    plans, flags, gates = compiled
+    plans, flags, (ll, mm) = compiled
     has123, has132, has213, has231, has312, has321 = flags
     masking = any(flags)
-    looking = any(gates)
+    looking = ll or mm
     spans = _spans(n)
     top = n + 1
     # The candidate loop places the last value, so unless n = 1 no node is
@@ -360,7 +328,7 @@ def _count_from_root(
             if has321:
                 refused |= spans[f_min][u_max]
             if looking:
-                refused |= _doomed(used, free, u_min, u_max, f_min, f_max, gates, spans, top)
+                refused |= _doomed(free, u_min, f_min, f_max, ll, mm, spans)
         cands = free & ~refused
         while cands:
             bit = cands & -cands

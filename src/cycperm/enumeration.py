@@ -82,14 +82,17 @@ def run_enumeration(req: EnumerationRequest, sink=None) -> EnumerationResult:
     large n: the search's cost grows with n, and the caller bounds it.
 
     A collecting request lists its witnesses in the result, unless the
-    caller passes a ``sink``: then the search hands each witness's one-line
-    tuple to ``sink.append`` as it finds it, in lexicographic order, and
-    the result's ``witnesses`` is None.
+    caller passes a ``sink``: then each witness's one-line tuple goes to
+    ``sink.append``, in lexicographic order, and the result's ``witnesses``
+    is None.
 
-    A count-only request searches the symmetric image of its set that turns
-    on the most pair lookahead combinations (_kernels._most_gated_image),
-    which has the same count; ``nodes_visited`` counts that image's search.
-    A collecting request searches its set as given.
+    Every request searches the symmetric image of its set that
+    _kernels._most_gated_image picks, which has the same count;
+    ``nodes_visited`` counts that image's search. When the image is not the
+    set itself, a collecting request maps the image's witnesses back to the
+    set's, sorts them, and then lists them or hands them to the sink; a set
+    that is its own image, such as any single pattern, streams to the sink
+    as it searches.
     """
     if sink is not None and not req.collect:
         raise PreconditionViolated("a witness sink requires a request with collect=True")
@@ -97,10 +100,14 @@ def run_enumeration(req: EnumerationRequest, sink=None) -> EnumerationResult:
     witnesses = None
     if req.collect and sink is None:
         sink = witnesses = []
-    patterns = tuple([q.entries for q in req.patterns])
-    if not req.collect:  # an image's witnesses would be other permutations
-        patterns = _kernels._most_gated_image(patterns)
-    count, nodes = _kernels._count_from_root(req.n, patterns, req.cyclic_only, sink)
+    image, back = _kernels._most_gated_image(tuple([q.entries for q in req.patterns]))
+    if back is None or sink is None:
+        count, nodes = _kernels._count_from_root(req.n, image, req.cyclic_only, sink)
+    else:
+        found = []
+        count, nodes = _kernels._count_from_root(req.n, image, req.cyclic_only, found)
+        for w in sorted(map(back, found)):
+            sink.append(w)
     return EnumerationResult(
         count=count,
         witnesses=None if witnesses is None else [Permutation(w) for w in witnesses],

@@ -778,12 +778,20 @@ def test_cache_that_is_not_a_regular_file_is_usage_error(tmp_path, make):
 
 
 # Keys of records already in users' caches: a change to how the key is
-# computed must not re-key them.
-def test_cache_key_is_pinned():
-    assert cli._cache_key(5, ["123"], True) == (
-        "2aff19f37a6a36b06b4ae148c11af1db9192ecdde716bcded514b8a14e004232")
-    assert cli._cache_key(8, ["123", "231"], True) == (
-        "788d30fd6a358273851fbed6791250a370f44ab6926c7e549af1c1252c224a96")
+# computed must not re-key them. The pins were taken under kernel version 2,
+# and a new kernel version re-keys every record.
+def test_cache_key_is_pinned(monkeypatch):
+    from cycperm import _kernels
+
+    def keys():
+        return cli._cache_key(5, ["123"], True), cli._cache_key(8, ["123", "231"], True)
+
+    assert _kernels.KERNEL_VERSION == 3
+    current = keys()
+    monkeypatch.setattr(_kernels, "KERNEL_VERSION", 2)
+    assert keys() == ("2aff19f37a6a36b06b4ae148c11af1db9192ecdde716bcded514b8a14e004232",
+                      "788d30fd6a358273851fbed6791250a370f44ab6926c7e549af1c1252c224a96")
+    assert all(new != old for new, old in zip(current, keys()))
 
 
 @pytest.mark.parametrize("n, labels, cyclic", [

@@ -142,7 +142,8 @@ def test_a_sink_receives_the_listed_witnesses_as_they_are_found():
         def append(self, entries):
             self.seen.append(entries)
 
-    # a walked pattern, and gated pairs whose leaves the candidate loop settles
+    # a walked pattern, a pair the lookahead tests, and pairs searched
+    # through an image
     for labels in (("1432",), ("123", "132"), ("123", "231"), ("213", "321")):
         qs = tuple(parse_pattern(l) for l in labels)
         sink = Sink()
@@ -218,7 +219,8 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
 @example(pats=[[1, 2, 3], [1, 4, 3, 2]], n=7)
 @example(pats=[[1, 3, 2], [2, 1, 3], [4, 2, 3, 1]], n=7)
 @example(pats=[[2, 1], [2, 3, 1]], n=7)
-# sets where the pair lookahead runs, alone and beside the walk
+# a set where the pair lookahead runs, and sets searched through an image
+# beside the walk
 @example(pats=[[1, 2, 3], [1, 3, 2]], n=7)
 @example(pats=[[1, 2, 3], [2, 3, 1], [1, 4, 3, 2]], n=7)
 @example(pats=[[3, 1, 2], [3, 2, 1], [2, 1, 4, 3]], n=7)
@@ -275,23 +277,44 @@ def test_the_four_symmetric_images_have_equal_counts(pats, n):
         assert counts == [counts[0]] * 4, (images, cyclic_only)
 
 
+# One set per combination of an ascending-ending and a descending-ending
+# length-3 pattern: the two the pair lookahead tests (LL, MM), the four that
+# fire but are not tested (LM, LH, MH, HH), then the three that never fire
+# (ML, HL, HM). The tests below take these from the pattern pairs, never
+# from the kernel's flags or its rule.
+_COMBINATIONS = [((1, 2, 3), (1, 3, 2)), ((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 2, 1)),
+                 ((2, 1, 3), (2, 3, 1)), ((2, 1, 3), (3, 2, 1)), ((3, 1, 2), (3, 2, 1)),
+                 ((1, 3, 2), (2, 1, 3)), ((1, 3, 2), (3, 1, 2)), ((2, 3, 1), (3, 1, 2))]
+_TESTED = [_COMBINATIONS[0], _COMBINATIONS[3]]
+_UNTESTED = [_COMBINATIONS[1], _COMBINATIONS[2], _COMBINATIONS[4], _COMBINATIONS[5]]
+
+
+def _meets(qs, combinations):
+    """How many of the combinations the set's patterns meet."""
+    return sum(a in qs and b in qs for a, b in combinations)
+
+
 @pytest.mark.parametrize("gated, ungated, n, count", [
-    # Every class of length-3 sets in which one image turns the pair
-    # lookahead on and another turns it off: the search with it against the
-    # search without it, at an n the reference enumeration cannot reach.
+    # Every class of length-3 sets in which one image meets a combination
+    # that fires and another meets none. For LL and MM, the search with the
+    # lookahead against the search without it, at an n the reference
+    # enumeration cannot reach. LM, MH and HH are not tested, and a set that
+    # meets one of them takes about 2^(n-1) nodes as given ((312, 321) takes
+    # 524,288 at n = 20), so those pairs are checked at n = 19, the largest n
+    # at which both searches finish in about 0.5 s.
     (("123", "132"), ("123", "213"), 22, 1024),
-    (("123", "231"), ("123", "312"), 40, 8),
+    (("123", "231"), ("123", "312"), 19, 4),
     (("213", "231"), ("132", "231"), 16, 2048),
-    (("213", "321"), ("132", "321"), 40, 16),
-    (("312", "321"), ("231", "321"), 40, 1),
+    (("213", "321"), ("132", "321"), 19, 18),
+    (("312", "321"), ("231", "321"), 19, 1),
     (("123", "132", "231"), ("123", "213", "312"), 40, 1),
     (("132", "213", "231"), ("132", "213", "312"), 40, 2),
     (("213", "231", "312"), ("132", "231", "312"), 40, 0),
     (("213", "231", "321"), ("132", "231", "321"), 40, 1),
 ])
 def test_a_gated_set_and_its_ungated_image_agree_at_large_n(gated, ungated, n, count):
-    assert any(_kernels._compile_patterns(tuple(_entries(gated)))[2])
-    assert not any(_kernels._compile_patterns(tuple(_entries(ungated)))[2])
+    firing = _TESTED + _UNTESTED
+    assert _meets(_entries(gated), firing) and not _meets(_entries(ungated), firing)
     assert _entries(ungated) in _images(_entries(gated))
     assert _kernels._count_from_root(n, _entries(gated), True)[0] == count
     assert _kernels._count_from_root(n, _entries(ungated), True)[0] == count
@@ -316,54 +339,98 @@ def test_every_set_of_length3_patterns_matches_full_enumeration():
                 assert [p.entries for p in got] == want, (qs, n, cyclic_only)
 
 
-@pytest.mark.parametrize("cyclic_only, count, nodes", [(True, 2906, 20957),
-                                                       (False, 32116, 113540)])
+def test_a_listing_through_an_image_matches_the_search_of_the_set_as_given():
+    # A request searches an image of its set, maps the image's witnesses back
+    # and sorts them; the kernel called directly on the set as given is the
+    # reference, so the reference never goes through the rule.
+    sets = [*_LENGTH3_SETS, ((1, 2, 3), (2, 3, 1), (1, 4, 3, 2)),
+            ((2, 1, 3), (3, 2, 1), (4, 3, 2, 1)), ((1, 2), (2, 3, 1))]
+    for qs in sets:
+        pats = tuple(make_permutation(q) for q in qs)
+        for n in range(1, 11):
+            for cyclic_only in (True, False):
+                want = []
+                _kernels._count_from_root(n, qs, cyclic_only, want)
+                req = EnumerationRequest(n=n, patterns=pats, cyclic_only=cyclic_only,
+                                         collect=True)
+                listed = run_enumeration(req).witnesses
+                assert [p.entries for p in listed] == want, (qs, n, cyclic_only)
+                sink = []
+                assert run_enumeration(req, sink).witnesses is None
+                assert sink == want, (qs, n, cyclic_only)
+
+
+def test_a_set_that_is_its_own_image_streams_to_the_callers_sink(monkeypatch):
+    sinks = []
+    real = _kernels._count_from_root
+
+    def recording(n, patterns, cyclic_only, sink=None):
+        sinks.append(sink)
+        return real(n, patterns, cyclic_only, sink)
+
+    monkeypatch.setattr(_kernels, "_count_from_root", recording)
+    for labels, streams in ((("123",), True), (("1432",), True), (("123", "132"), True),
+                            (("123", "231"), False)):
+        sink = []
+        req = EnumerationRequest(n=7, patterns=tuple(parse_pattern(l) for l in labels),
+                                 collect=True)
+        run_enumeration(req, sink)
+        assert (sinks[-1] is sink) == streams, labels
+        assert sink == [p.entries for p in list_cyclic_avoiders(7, req.patterns)]
+
+
+@pytest.mark.parametrize("cyclic_only, count, nodes", [(True, 2906, 21958),
+                                                       (False, 32116, 115706)])
 def test_totals_over_the_length3_sets_at_n9(cyclic_only, count, nodes):
+    # A cached count names the kernel by KERNEL_VERSION, so any change to
+    # these pins bumps it.
+    assert _kernels.KERNEL_VERSION == 3
     found = [_kernels._count_from_root(9, qs, cyclic_only) for qs in _LENGTH3_SETS]
     assert sum(c for c, _ in found) == count
     assert sum(v for _, v in found) == nodes
-    # A count-only request searches its set's most gated image instead.
+    # A request searches its set's most gated image instead.
     results = [run_enumeration(EnumerationRequest(
         n=9, patterns=tuple(make_permutation(q) for q in qs), cyclic_only=cyclic_only))
         for qs in _LENGTH3_SETS]
     assert sum(r.count for r in results) == count
-    assert sum(r.nodes_visited for r in results) == (19815 if cyclic_only else 111149)
+    assert sum(r.nodes_visited for r in results) == (20086 if cyclic_only else 111822)
 
 
 def test_count_only_requests_search_the_most_gated_image():
-    def gates(qs):
-        return sum(_kernels._compile_patterns(tuple(map(tuple, qs)))[2])
+    # Every request, counting or listing, searches the first of the four
+    # images with the most tested combinations less the untested ones, so
+    # the set itself on a tie.
+    def gain(qs):
+        return _meets(qs, _TESTED) - _meets(qs, _UNTESTED)
 
     for qs in _LENGTH3_SETS:
-        picked = _kernels._most_gated_image(qs)
-        images = _images(qs)
-        assert list(picked) in images
-        assert gates(picked) == max(map(gates, images))
-        if gates(qs) == gates(picked):  # the set itself on a tie
-            assert picked == qs
+        picked, back = _kernels._most_gated_image(qs)
+        assert list(picked) == max(_images(qs), key=gain)
+        assert (back is None) == (picked == qs)
         for cyclic_only in (True, False):
-            req = EnumerationRequest(n=8, patterns=tuple(make_permutation(q) for q in qs),
-                                     cyclic_only=cyclic_only)
-            res = run_enumeration(req)
-            assert (res.count, res.nodes_visited) == _kernels._count_from_root(
-                8, picked, cyclic_only)
-
-
-# One set per combination of an ascending-ending and a descending-ending
-# length-3 pattern: the six the pair lookahead tests (LL, LM, LH, MM, MH,
-# HH), then the three it gates off (ML, HL, HM).
-_COMBINATIONS = [((1, 2, 3), (1, 3, 2)), ((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 2, 1)),
-                 ((2, 1, 3), (2, 3, 1)), ((2, 1, 3), (3, 2, 1)), ((3, 1, 2), (3, 2, 1)),
-                 ((1, 3, 2), (2, 1, 3)), ((1, 3, 2), (3, 1, 2)), ((2, 3, 1), (3, 1, 2))]
+            want = _kernels._count_from_root(8, picked, cyclic_only)
+            for collect in (False, True):
+                res = run_enumeration(EnumerationRequest(
+                    n=8, patterns=tuple(make_permutation(q) for q in qs),
+                    cyclic_only=cyclic_only, collect=collect))
+                assert (res.count, res.nodes_visited) == want
+    for qs, image in [
+        (((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (3, 1, 2))),
+        (((2, 1, 3), (3, 2, 1)), ((1, 3, 2), (3, 2, 1))),
+        (((3, 1, 2), (3, 2, 1)), ((2, 3, 1), (3, 2, 1))),
+        (((1, 2, 3), (1, 3, 2)), ((1, 2, 3), (1, 3, 2))),
+        (((1, 3, 2), (2, 3, 1)), ((2, 1, 3), (2, 3, 1))),
+    ]:
+        assert _kernels._most_gated_image(qs)[0] == image
 
 
 @pytest.mark.parametrize("pats", _COMBINATIONS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_pair_lookahead_refuses_exactly_the_dead_placements(pats, data):
-    # From a prefix that forbids no unused value, the mask holds a candidate
-    # v exactly when some unused a < b make both prefix+v+(a, b) and
-    # prefix+v+(b, a) contain a pattern.
+    # From a prefix that forbids no unused value, the mask of LL and MM holds
+    # a candidate v exactly when some unused a < b make both prefix+v+(a, b)
+    # and prefix+v+(b, a) contain a pattern; the other seven have no mask.
     n = data.draw(st.integers(3, 8), label="n")
     prefix, free = [], set(range(1, n + 1))
 
@@ -378,11 +445,12 @@ def test_the_pair_lookahead_refuses_exactly_the_dead_placements(pats, data):
         prefix.append(v)
         free.discard(v)
     gates = _kernels._compile_patterns(pats)[2]
-    assert any(gates) == (pats in _COMBINATIONS[:6])
-    u_min, u_max = (min(prefix), max(prefix)) if prefix else (n + 1, 0)
-    mask = _kernels._doomed(sum(1 << u for u in prefix), sum(1 << f for f in free),
-                            u_min, u_max, min(free), max(free),
-                            gates, _kernels._spans(n), n + 1)
+    assert any(gates) == (pats in _TESTED)
+    mask = _kernels._doomed(sum(1 << f for f in free), min(prefix, default=n + 1),
+                            min(free), max(free), *gates, _kernels._spans(n))
+    if pats not in _TESTED:  # the search leaves LM, LH, MH and HH to the image
+        assert mask == 0
+        return
     for v in sorted(free):
         if not fits(v):
             continue
@@ -394,16 +462,16 @@ def test_the_pair_lookahead_refuses_exactly_the_dead_placements(pats, data):
 
 @pytest.mark.parametrize("pats, cyclic, every", [
     (_COMBINATIONS[0], (32, 286), (2048, 6142)),  # LL
-    (_COMBINATIONS[1], (2, 157), (67, 584)),  # LM
-    (_COMBINATIONS[2], (0, 14), (0, 16)),  # LH
+    (_COMBINATIONS[1], (2, 2078), (67, 4381)),  # LM, not tested
+    (_COMBINATIONS[2], (0, 49), (0, 54)),  # LH, not tested
     (_COMBINATIONS[3], (170, 846), (2048, 6142)),  # MM
-    (_COMBINATIONS[4], (4, 108), (67, 584)),  # MH
-    (_COMBINATIONS[5], (1, 12), (2048, 6142)),  # HH
+    (_COMBINATIONS[4], (4, 2089), (67, 4381)),  # MH, not tested
+    (_COMBINATIONS[5], (1, 2048), (2048, 15359)),  # HH, not tested
 ])
 def test_count_and_nodes_of_each_lookahead_combination_at_n12(pats, cyclic, every):
     # A cached count names the kernel by KERNEL_VERSION, so any change to
     # these pins bumps it.
-    assert _kernels.KERNEL_VERSION == 2
+    assert _kernels.KERNEL_VERSION == 3
     assert _kernels._count_from_root(12, pats, True) == cyclic
     assert _kernels._count_from_root(12, pats, False) == every
 
@@ -420,7 +488,7 @@ def test_count_and_nodes_of_each_lookahead_combination_at_n12(pats, cyclic, ever
 def test_count_and_nodes_of_walked_searches(labels, n, count, nodes):
     # A cached count names the kernel by KERNEL_VERSION, so any change to
     # these pins bumps it; a cheaper walk keeps them.
-    assert _kernels.KERNEL_VERSION == 2
+    assert _kernels.KERNEL_VERSION == 3
     assert _kernels._count_from_root(n, _entries(labels), True) == (count, nodes)
 
 
@@ -488,27 +556,31 @@ def test_node_totals_of_the_table_one_and_pair_sweeps():
     assert (len(table_one), len(pairs)) == (36, 49)
     assert sum(_kernels._count_from_root(n, _entries(labels), True)[1]
                for n, labels in table_one) == 8836
+    assert _kernels.KERNEL_VERSION == 3
     assert sum(_kernels._count_from_root(n, _entries(labels), True)[1]
-               for n, labels in pairs) == 1944
-    # A count-only request searches its set's most gated image: single
-    # patterns are searched as given, and (132,231), (132,321) and (231,321)
-    # are redirected to (213,231), (213,321) and (312,321).
+               for n, labels in pairs) == 2362
+    # A request searches its set's most gated image: single patterns are
+    # searched as given, and (123,231) and (132,231) go to (123,312) and
+    # (213,231).
     assert sum(_cyclic(n, labels).nodes_visited for n, labels in table_one) == 8836
-    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 1151
+    assert sum(_cyclic(n, labels).nodes_visited for n, labels in pairs) == 1445
 
 
 def test_the_hardest_pair_attains_its_bound_at_n26():
     from cycperm.formulas import upper_bound_123_231
 
+    # searched through its inverse image, (123, 312)
+    assert _kernels.KERNEL_VERSION == 3
     res = _cyclic(26, ("123", "231"))
     assert res.count == upper_bound_123_231(26) == 18
-    assert res.nodes_visited == 1578
+    assert res.nodes_visited == 1942
 
 
 @pytest.mark.parametrize("labels, nodes", [
-    # The lookahead is gated off for most of these sets, because their
-    # ascending and descending patterns meet only in combinations that never
-    # fire; it runs for (123, 231, 312) and (132, 213, 321) but prunes nothing.
+    # None of these sets tests LL or MM: their ascending and descending
+    # patterns meet only in combinations that never fire, or in LM and MH
+    # for (123, 231, 312) and (132, 213, 321), which pruned nothing for them
+    # while the search still tested those two.
     (("132", "213"), 720),
     (("132", "312"), 431),
     (("231", "312"), 25),
@@ -519,8 +591,8 @@ def test_the_hardest_pair_attains_its_bound_at_n26():
 ])
 def test_sets_the_lookahead_cannot_prune_keep_their_nodes(labels, nodes):
     assert _kernels._count_from_root(10, _entries(labels), True)[1] == nodes
-    # A count-only request searches the most gated image instead, which for
-    # these three sets turns on MM.
+    # A request searches the most gated image instead, which for these three
+    # sets turns on MM.
     routed = {("132", "312"): 249, ("132", "213", "312"): 32, ("132", "231", "312"): 5}
     assert _cyclic(10, labels).nodes_visited == routed.get(labels, nodes)
 
@@ -528,4 +600,5 @@ def test_sets_the_lookahead_cannot_prune_keep_their_nodes(labels, nodes):
 def test_pattern_sets_compile_once():
     pats = ((1, 3, 2), (2, 1, 3))
     assert _kernels._compile_patterns(pats) is _kernels._compile_patterns(pats)
-    assert _kernels._compile_patterns(pats)[2] == (False,) * 6
+    assert _kernels._compile_patterns(pats)[1:] == (
+        (False, True, True, False, False, False), (False, False))

@@ -68,7 +68,8 @@ def test_formula_vs_oracle_all_pairs():
 
 
 def test_formula_vs_oracle_at_large_n_on_the_gated_pairs():
-    # the pair lookahead keeps these searches to a few thousand nodes
+    # searched through (123,312), and with the pair lookahead on (123,132),
+    # these take a few thousand nodes
     rep = check_formula_vs_oracle([PairFormulaId.P123_231], n_max=26)
     assert rep.passed and rep.ns == tuple(range(3, 27))
     rep = check_formula_vs_oracle([PairFormulaId.P123_132], n_max=22)
