@@ -39,11 +39,21 @@ the value it names does not exist):
   forbids the widest interval (v, u), and f lies in it.
 * 321 when min F < v < max U: some u > v, and an unused value below v.
 
+The rules above read four extremes of the node: min U, max U, min F and
+max F. A node does not compute them from its masks; its parent passes them
+down. Placing v makes min U and max U the lesser and the greater of v and
+their old values, and leaves min F and max F as they were unless v was one
+of them, when one bit_length of the remaining unused values gives the new
+one. The root passes min U = n + 1 and max U = 0 for the empty U, which
+make every rule above refuse nothing, and min F = 1, max F = n. A set
+with no length-3 pattern reads no extreme, so it passes them on unchanged.
+
 Patterns of length 2 and of length 4 or more keep the per-candidate walk
-over their occurrences. It loops over the values of every slot but the
-innermost, and settles the innermost slot with one mask test per value of
-the slot before it: the intervals that the innermost slot's fitting values
-forbid are nested, so their union is bounded by the extreme fitting value.
+over their occurrences; a set without such a pattern skips the walk's
+loop. The walk loops over the values of every slot but the innermost, and
+settles the innermost slot with one mask test per value of the slot before
+it: the intervals that the innermost slot's fitting values forbid are
+nested, so their union is bounded by the extreme fitting value.
 
 A third rule, the pair lookahead, refuses a placement after which two
 unused values a < b can be placed in neither order. It is sound, because
@@ -218,9 +228,10 @@ def _doomed(free: int, u_min: int, f_min: int, f_max: int, ll: bool, mm: bool,
     """The mask of the candidates that the pair lookahead refuses, for the
     combinations LL and MM as flagged; ``free`` is the mask of the unused
     values before the placement, u_min the least placed value (n + 1 when
-    none is), and f_min and f_max the extremes of ``free``. Its bits are
-    exact on the candidates that the length-3 mask leaves and mean nothing
-    elsewhere; see the module docstring."""
+    none is), and f_min and f_max the extremes of ``free``: the node's
+    extremes, which its parent passed down. Its bits are exact on the
+    candidates that the length-3 mask leaves and mean nothing elsewhere;
+    see the module docstring."""
     rest = free & (free - 1)
     if not rest & (rest - 1):  # fewer than two values would stay unused
         return 0
@@ -236,8 +247,9 @@ def _count_from_root(
     """Search the length-n permutations (or n-cycles) avoiding the patterns.
 
     Returns (count, nodes): the avoiders found and the placements made.
-    When sink is a list, each avoider's one-line tuple is appended to it,
-    in lexicographic order.
+    When sink is given (any object with an ``append`` method, such as a
+    list), each avoider's one-line tuple is appended to it, in
+    lexicographic order.
     """
     compiled = _compile_patterns(tuple(map(tuple, patterns)))
     if compiled is None:
@@ -294,19 +306,15 @@ def _count_from_root(
                     return 1
         return 0
 
-    def descend(m, free):
+    def descend(m, free, u_min, u_max, f_min, f_max):
+        # u_min and u_max are the least and greatest placed values (top and 0
+        # while none is), f_min and f_max those of free; the parent passes
+        # them down (see the module docstring).
         nonlocal count, nodes
         i = m + 1  # the one-line position being assigned, 1-based
         used = prefix[m]
         refused = 1 << start[i] if closes else 0
         if masking:
-            if used:
-                u_min = (used & -used).bit_length() - 1
-                u_max = used.bit_length() - 1
-            else:  # the candidate becomes both; no length-3 rule refuses anything
-                u_min, u_max = top, 0
-            f_min = (free & -free).bit_length() - 1
-            f_max = free.bit_length() - 1
             if has123:
                 refused |= spans[u_min][f_max]
             if has132:
@@ -335,29 +343,39 @@ def _count_from_root(
             cands ^= bit
             v = bit.bit_length() - 1
             rest = free ^ bit
-            for gaps, lo, hi, vals in checks:
-                vals[-3] = v
-                if blocked(gaps, lo, hi, vals, 0, 0, used, rest):
-                    break
-            else:
-                nodes += 1
-                word[m] = v
-                if not rest & (rest - 1):  # v completes the word, or the one value left does
-                    if rest:
-                        nodes += 1
-                        word[i] = rest.bit_length() - 1
-                    count += 1
-                    if sink is not None:
-                        sink.append(tuple(word))
+            if checks:  # a set with no walked pattern skips the loop
+                for gaps, lo, hi, vals in checks:
+                    vals[-3] = v
+                    if blocked(gaps, lo, hi, vals, 0, 0, used, rest):
+                        break
+                else:
+                    vals = None
+                if vals is not None:  # the loop broke: a walked pattern refuses v
                     continue
-                pos[v] = m
-                prefix[i] = used | bit
-                s, e = start[i], end[v]
-                end[s], start[e] = e, s
-                descend(i, rest)
-                end[s], start[e] = i, v
+            nodes += 1
+            word[m] = v
+            if not rest & (rest - 1):  # v completes the word, or the one value left does
+                count += 1
+                if rest:
+                    nodes += 1
+                if sink is not None:
+                    if rest:
+                        word[i] = rest.bit_length() - 1
+                    sink.append(tuple(word))
+                continue
+            pos[v] = m
+            prefix[i] = used | bit
+            s, e = start[i], end[v]
+            end[s], start[e] = e, s
+            if masking:
+                descend(i, rest, v if v < u_min else u_min, v if v > u_max else u_max,
+                        (rest & -rest).bit_length() - 1 if v == f_min else f_min,
+                        rest.bit_length() - 1 if v == f_max else f_max)
+            else:  # no length-3 rule reads them, so a walked set pays nothing for them
+                descend(i, rest, u_min, u_max, f_min, f_max)
+            end[s], start[e] = i, v
 
-    descend(0, (1 << top) - 2)
+    descend(0, (1 << top) - 2, top, 0, 1, n)
     # The recursive closures reach themselves through their cells. Deleting
     # every closure breaks those cycles, so this call's state is freed at
     # once rather than left to the cyclic garbage collector.

@@ -233,6 +233,12 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
 @example(pats=[[3, 4, 1, 2]], n=7)
 @example(pats=[[5, 2, 3, 4, 1]], n=7)
 @example(pats=[[1, 2], [4, 3, 2, 1]], n=7)
+# mixed sets, where the guarded walk loop and the extremes each node inherits
+# from its parent run in one search, and the first placement or an unused
+# extreme is often the placed value
+@example(pats=[[1, 2, 3], [4, 3, 2, 1]], n=7)
+@example(pats=[[3, 2, 1], [1, 2]], n=7)
+@example(pats=[[2, 3, 1], [1, 4, 3, 2]], n=7)
 def test_search_matches_full_enumeration(pats, n):
     pats = [tuple(p) for p in pats]
     qs = tuple(make_permutation(p) for p in pats)

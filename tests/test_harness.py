@@ -122,6 +122,32 @@ def test_triple_formula_counterexample_text(monkeypatch):
         (5, "triple (2, 1, 2): formula says False, cycle trace says True")]
 
 
+def test_table_one_counterexample_text(monkeypatch):
+    # an oracle count one too high for 231 at n = 5 fails that cell alone
+    real = harness.cyclic_count
+
+    def wrong_once(patterns, n):
+        labels = [pattern_label(q) for q in patterns]
+        return real(patterns, n) + ((n, labels) == (5, ["231"]))
+
+    monkeypatch.setattr(harness, "cyclic_count", wrong_once)
+    rep = check_table_one(6)
+    assert rep.status == {3: True, 4: True, 5: False, 6: True}
+    assert rep.counterexamples == [(5, "C_5(231) = 6, reference says 5")]
+    assert rep.to_text().splitlines()[1:] == ["  n=5: C_5(231) = 6, reference says 5"]
+
+
+def test_formula_vs_oracle_counterexample_text(monkeypatch):
+    # a closed form one too high for (132,231) at n = 7 fails that cell alone
+    real = harness.pair_count
+    monkeypatch.setattr(harness, "pair_count", lambda pair, n: real(pair, n) + (
+        (pair, n) == (PairFormulaId.P132_231, 7)))
+    rep = check_formula_vs_oracle(None, n_max=8)
+    assert [n for n, ok in rep.status.items() if not ok] == [7]
+    assert rep.counterexamples == [(7, "pair (132,231): formula 10 != oracle 9")]
+    assert rep.to_text().splitlines()[1:] == ["  n=7: pair (132,231): formula 10 != oracle 9"]
+
+
 def test_triple_formula_checks_the_closed_form(monkeypatch):
     # the good triples are counted by the cycle trace, so only n = 7 fails
     real = harness.count_123_231
