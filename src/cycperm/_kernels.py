@@ -48,12 +48,18 @@ one. The root passes min U = n + 1 and max U = 0 for the empty U, which
 make every rule above refuse nothing, and min F = 1, max F = n. A set
 with no length-3 pattern reads no extreme, so it passes them on unchanged.
 
-Patterns of length 2 and of length 4 or more keep the per-candidate walk
-over their occurrences; a set without such a pattern skips the walk's
-loop. The walk loops over the values of every slot but the innermost, and
-settles the innermost slot with one mask test per value of the slot before
-it: the intervals that the innermost slot's fitting values forbid are
-nested, so their union is bounded by the extreme fitting value.
+Patterns of length 2 and of length 4 or more are tested per candidate; a
+set without such a pattern skips that loop. For a pattern q of length k,
+an occurrence of q[:k-1] that ends at the candidate v forbids the interval
+between the values of q[k-1]'s two value-neighbours among its slots, and v
+is one of them: so the interval lies below v when q[k-1] < q[k-2], and
+above v otherwise. When no unused value lies on that side of v, the
+pattern cannot refuse v, and its walk is skipped. A pattern of length 2
+has no other slot, so that side test alone decides it, and it never
+reaches the walk. The walk loops over the values of every slot but the
+innermost, and settles the innermost slot with one mask test per value of
+the slot before it: the intervals that the innermost slot's fitting values
+forbid are nested, so their union is bounded by the extreme fitting value.
 
 A third rule, the pair lookahead, refuses a placement after which two
 unused values a < b can be placed in neither order. It is sound, because
@@ -133,8 +139,8 @@ _MASKED = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
 @lru_cache(maxsize=64)
 def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
-    """The plans (gaps, lo, hi, k) of the walked patterns, six mask flags
-    and two gate flags.
+    """The plans (gaps, lo, hi, below, k) of the walked patterns, six mask
+    flags and two gate flags.
 
     Mask flag j says that the set holds _MASKED[j], which the per-node mask
     refuses; every other pattern is walked. The gate flags say whether the
@@ -148,7 +154,9 @@ def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
     the bounds 0 and n + 1. ``lo`` and ``hi`` name that pair for q[k-1]
     among all k-1 slots: the interval the occurrence forbids. The walk
     loops over the fitting values of slots 0..k-4 and settles the innermost
-    slot, k-3, with one mask test per value of slot k-4.
+    slot, k-3, with one mask test per value of slot k-4. ``below`` says
+    that q[k-1] < q[k-2], so the interval lies below the new value, and
+    above it otherwise.
     """
     plans = []
     masked = set()
@@ -169,7 +177,7 @@ def _compile_patterns(patterns: tuple[tuple[int, ...], ...]) -> Optional[tuple]:
             gaps.append((lo, hi))
             filled.append(t)
         *slot_gaps, (lo, hi) = gaps
-        plans.append((tuple(slot_gaps), lo, hi, k))
+        plans.append((tuple(slot_gaps), lo, hi, q[k - 1] < q[k - 2], k))
     flags = tuple(q in masked for q in _MASKED)
     has123, has132, has213, has231 = flags[:4]
     return tuple(plans), flags, (has123 and has132, has213 and has231)
@@ -268,15 +276,15 @@ def _count_from_root(
     prefix = [0] * top  # prefix[j]: the mask of the values at positions < j
     start = list(range(top))  # start[e]: the first vertex of the path ending at e
     end = list(range(top))  # end[s]: the last vertex of the path starting at s
-    checks = [(gaps, lo, hi, [0] * (k - 1) + [0, top]) for gaps, lo, hi, k in plans]
+    checks = [(gaps, lo, hi, below, [0] * (k - 1) + [0, top])
+              for gaps, lo, hi, below, k in plans]
     count = nodes = 0
 
     def blocked(gaps, lo, hi, vals, t, c0, used, rest):
         # Fill slot t from the values at positions c0..m-1 that fit its gap.
-        # A walked plan has no slot (length 2) or at least two (length 3 is
-        # masked), so t never starts at the innermost slot.
-        if t == len(gaps):  # a pattern of length 2: only the new value
-            return spans[vals[lo]][vals[hi]] & rest
+        # A length-2 plan never gets here (its side test decides it), and a
+        # longer walked plan has at least two slots (length 3 is masked), so
+        # t never starts at the innermost slot.
         g_lo, g_hi = gaps[t]
         fits = (used ^ prefix[c0]) & spans[vals[g_lo]][vals[g_hi]]
         j = t + 1
@@ -344,7 +352,13 @@ def _count_from_root(
             v = bit.bit_length() - 1
             rest = free ^ bit
             if checks:  # a set with no walked pattern skips the loop
-                for gaps, lo, hi, vals in checks:
+                for gaps, lo, hi, below, vals in checks:
+                    # No unused value on the side of v that the plan forbids:
+                    # it cannot refuse v. Else a length-2 plan refuses it.
+                    if not (rest & (bit - 1) if below else rest >> v):
+                        continue
+                    if not gaps:
+                        break
                     vals[-3] = v
                     if blocked(gaps, lo, hi, vals, 0, 0, used, rest):
                         break

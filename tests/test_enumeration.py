@@ -239,6 +239,18 @@ _PATTERN = st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1)))
 @example(pats=[[1, 2, 3], [4, 3, 2, 1]], n=7)
 @example(pats=[[3, 2, 1], [1, 2]], n=7)
 @example(pats=[[2, 3, 1], [1, 4, 3, 2]], n=7)
+# a walk skipped when no unused value lies on the side of the new value that
+# the plan forbids: below it (1243, 13254) or above it (2134, 21534); and the
+# slotless length-2 plans, decided by that side test alone, beside a walked
+# plan and beside a masked one
+@example(pats=[[1, 2, 4, 3]], n=7)
+@example(pats=[[2, 1, 3, 4]], n=7)
+@example(pats=[[1, 3, 2, 5, 4]], n=7)
+@example(pats=[[2, 1, 5, 3, 4]], n=7)
+@example(pats=[[1, 2, 4, 3], [1, 2]], n=7)
+@example(pats=[[1, 3, 2], [1, 2]], n=7)
+@example(pats=[[2, 1, 3, 4], [2, 1]], n=7)
+@example(pats=[[3, 1, 2], [2, 1]], n=7)
 def test_search_matches_full_enumeration(pats, n):
     pats = [tuple(p) for p in pats]
     qs = tuple(make_permutation(p) for p in pats)
@@ -496,6 +508,40 @@ def test_count_and_nodes_of_walked_searches(labels, n, count, nodes):
     # these pins bumps it; a cheaper walk keeps them.
     assert _kernels.KERNEL_VERSION == 3
     assert _kernels._count_from_root(n, _entries(labels), True) == (count, nodes)
+
+
+@pytest.mark.parametrize("label, cyclic, every", [
+    ("1234", (2312, 9929), (15767, 46254)),
+    ("1243", (2256, 9619), (15767, 46254)),
+    ("1324", (2508, 10566), (15793, 46311)),
+    ("1342", (1955, 8603), (15485, 45594)),
+    ("1423", (1955, 8831), (15485, 45594)),
+    ("1432", (2174, 9314), (15767, 46254)),
+    ("2134", (2256, 9690), (15767, 46254)),
+    ("2143", (2128, 9096), (15767, 46254)),
+    ("2314", (1955, 8356), (15485, 45594)),
+    ("2341", (1674, 7354), (15767, 46254)),
+    ("2413", (1556, 7084), (15485, 45594)),
+    ("2431", (1886, 8174), (15485, 45594)),
+    ("3124", (1955, 8637), (15485, 45594)),
+    ("3142", (1556, 7169), (15485, 45594)),
+    ("3214", (2174, 9329), (15767, 46254)),
+    ("3241", (1886, 8282), (15485, 45594)),
+    ("3412", (1458, 6759), (15767, 46254)),
+    ("3421", (1350, 6562), (15767, 46254)),
+    ("4123", (1674, 7778), (15767, 46254)),
+    ("4132", (1886, 8352), (15485, 45594)),
+    ("4213", (1886, 8473), (15485, 45594)),
+    ("4231", (2012, 8758), (15793, 46311)),
+    ("4312", (1350, 6345), (15767, 46254)),
+    ("4321", (1718, 7807), (15767, 46254)),
+])
+def test_count_and_nodes_of_every_length4_pattern_at_n8(label, cyclic, every):
+    # A cached count names the kernel by KERNEL_VERSION, so any change to
+    # these pins bumps it; skipping a walk that cannot refuse keeps them.
+    assert _kernels.KERNEL_VERSION == 3
+    assert _kernels._count_from_root(8, _entries([label]), True) == cyclic
+    assert _kernels._count_from_root(8, _entries([label]), False) == every
 
 
 @pytest.mark.parametrize("n", [1, 2])
